@@ -27,7 +27,6 @@ from .reduction import (
     fidelity_global,
     fidelity_single,
     reduce_to_single,
-    trace_out_b,
 )
 
 DEFAULT_SEED = 12345
@@ -134,12 +133,16 @@ def _csv_text(header, rows) -> str:
     return buf.getvalue()
 
 
-def _emit(args, csv_text: str, json_obj, human_lines) -> None:
-    machine = csv_text if args.format == "csv" else json.dumps(json_obj, indent=2) + "\n"
+def _emit(args, header, rows, json_obj, human_lines=None) -> None:
+    """Write the machine output; with --out, also print `human_lines` (default: a table of rows)."""
+    if args.format == "csv":
+        machine = _csv_text(header, rows)
+    else:
+        machine = json.dumps(json_obj, indent=2) + "\n"
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(machine)
-        for line in human_lines:
+        for line in human_lines or _human_table(header, rows):
             print(line)
     else:
         sys.stdout.write(machine)
@@ -173,7 +176,7 @@ def cmd_fidelity(args) -> int:
     for L in range(args.m, args.l_max + 1):
         x = PureQudit.random(args.d, rng)
         out = clone_pure(x, args.m, L - args.m)
-        f_single = fidelity_single(reduce_to_single(trace_out_b(out)), x)
+        f_single = fidelity_single(reduce_to_single(out), x)
         f_single_ref = closed_form_single(args.m, L, args.d)
         f_global = fidelity_global(out, x)
         f_global_ref = closed_form_global(args.m, L, args.d)
@@ -187,7 +190,7 @@ def cmd_fidelity(args) -> int:
         "rows": [dict(zip(header, row)) for row in rows],
         "pass": ok,
     }
-    _emit(args, _csv_text(header, rows), json_obj, _human_table(header, rows))
+    _emit(args, header, rows, json_obj)
     return 0 if ok else 1
 
 
@@ -210,7 +213,7 @@ def cmd_evolve(args) -> int:
         "params": {"d": args.d, "m": args.m, "n": args.n, "tau": args.tau},
         "rows": [dict(zip(header, row)) for row in rows],
     }
-    _emit(args, _csv_text(header, rows), json_obj, _human_table(header, rows))
+    _emit(args, header, rows, json_obj)
     return 0
 
 
@@ -256,23 +259,19 @@ def cmd_clone(args) -> int:
         params = {"d": args.j.d, "m": args.j.total(), "l": args.l,
                   "j": list(args.j), "x": None}
 
-    reduced = reduce_to_single(trace_out_b(out)) if out.L >= 1 else None
+    reduced = reduce_to_single(out) if out.L >= 1 else None
     fidelity = fidelity_single(reduced, x) if (reduced is not None and x is not None) else None
 
     header = ("record", "a_occupation", "b_occupation", "row", "col", "real", "imag")
     rows = []
     amp_entries = []
-    for p, a_vec in enumerate(out.a_basis):
-        for q, b_vec in enumerate(out.b_basis):
-            amp = out.amplitudes[p, q]
-            if amp == 0:
-                continue
-            a_txt = ",".join(map(str, a_vec))
-            b_txt = ",".join(map(str, b_vec))
-            rows.append(("amplitude", a_txt, b_txt, None, None,
-                         float(amp.real), float(amp.imag)))
-            amp_entries.append({"a": list(a_vec), "b": list(b_vec),
-                                "real": float(amp.real), "imag": float(amp.imag)})
+    ps, qs = np.nonzero(out.amplitudes)  # row-major, so in (p, q) order
+    nonzero = out.amplitudes[ps, qs]
+    for p, q, re, im in zip(ps.tolist(), qs.tolist(), nonzero.real.tolist(), nonzero.imag.tolist()):
+        a_vec, b_vec = out.a_basis[p], out.b_basis[q]
+        rows.append(("amplitude", ",".join(map(str, a_vec)), ",".join(map(str, b_vec)),
+                     None, None, re, im))
+        amp_entries.append({"a": list(a_vec), "b": list(b_vec), "real": re, "imag": im})
     reduced_entries = None
     if reduced is not None:
         d = reduced.d
@@ -291,8 +290,7 @@ def cmd_clone(args) -> int:
         "reduced": reduced_entries,
         "fidelity": fidelity,
     }
-    human = _human_table(header, rows)
-    _emit(args, _csv_text(header, rows), json_obj, human)
+    _emit(args, header, rows, json_obj)
     return 0
 
 
@@ -353,7 +351,7 @@ def cmd_verify(args) -> int:
     rows = [(c["name"], c["max_deviation"], c["tolerance"], c["pass"]) for c in checks]
     failed = sum(1 for c in checks if not c["pass"])
     human = [f"{len(checks)} checks, {failed} failed: {'PASS' if overall else 'FAIL'}"]
-    _emit(args, _csv_text(header, rows), report, human)
+    _emit(args, header, rows, report, human)
     return 0 if overall else 1
 
 

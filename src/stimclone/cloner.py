@@ -11,10 +11,19 @@ l weighted by the emission probabilities from `stimclone.ladder`.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .fock import OccupationVector, SectorBasis, clone_amplitude, enumerate_sector, log_factorial
+from .fock import (
+    OccupationVector,
+    SectorBasis,
+    clone_coefficients,
+    enumerate_sector,
+    log_multinomials,
+    rank,
+    sector_array,
+)
 
 # Density inputs with eigenvalues below this are rejected; anything between
 # -PSD_TOLERANCE and 0 is treated as round-off, clipped and renormalized.
@@ -108,20 +117,16 @@ class SymmetricDensity:
     @classmethod
     def validated(cls, basis: SectorBasis, matrix) -> "SymmetricDensity":
         """Validate a user-supplied matrix, clipping round-off negativity."""
-        mat = np.asarray(matrix, dtype=complex)
-        if np.max(np.abs(mat - mat.conj().T)) > _HERMITICITY_TOL:
-            raise ValueError("density matrix is not Hermitian")
-        if abs(np.trace(mat).real - 1.0) > _TRACE_TOL:
-            raise ValueError(f"density matrix trace is {np.trace(mat).real!r}, expected 1")
-        evals, evecs = np.linalg.eigh(mat)
+        rho = cls(basis, matrix)
+        evals, evecs = np.linalg.eigh(rho.matrix)
         if evals.min() < -PSD_TOLERANCE:
             raise ValueError(f"density matrix has negative eigenvalue {evals.min()!r}")
-        if evals.min() < 0.0:
-            evals = np.clip(evals, 0.0, None)
-            mat = (evecs * evals) @ evecs.conj().T
-            mat /= np.trace(mat).real
-            mat = 0.5 * (mat + mat.conj().T)
-        return cls(basis, mat)
+        if evals.min() >= 0.0:
+            return rho
+        evals = np.clip(evals, 0.0, None)
+        mat = (evecs * evals) @ evecs.conj().T
+        mat /= np.trace(mat).real
+        return cls(basis, 0.5 * (mat + mat.conj().T))
 
     @classmethod
     def maximally_mixed(cls, d: int, total: int) -> "SymmetricDensity":
@@ -133,8 +138,16 @@ class SymmetricDensity:
 class CloneOutput:
     """Pure joint output conditioned on l extra copies.
 
-    `amplitudes[p, q]` is the coefficient of a-occupation `a_basis[p]`
-    (total M+l) with b-occupation `b_basis[q]` (total l).
+    An input sum_j c_j |J[j]> of M photons clones to
+    sum_{j,k} coefficients[j, k] |a_basis[a_index[j, k]]>_a |b_basis[k]>_b,
+    with coefficients[j, k] = c_j amp[j, k] and (amp, a_index) from
+    `fock.clone_coefficients(d, M, l)`; J is the (d, M) input sector.  For
+    each k the map j -> a_index[j, k] is one-to-one, so these |J| x |K|
+    entries are all the nonzeros the joint state can have.
+
+    `amplitudes[p, q]` is the dense view: the coefficient of a-occupation
+    `a_basis[p]` (total M+l) with b-occupation `b_basis[q]` (total l).  It
+    is formed on first access only.
     """
 
     d: int
@@ -142,11 +155,18 @@ class CloneOutput:
     l: int
     a_basis: SectorBasis
     b_basis: SectorBasis
-    amplitudes: np.ndarray
+    coefficients: np.ndarray
+    a_index: np.ndarray
 
     @property
     def L(self) -> int:
         return self.M + self.l
+
+    @cached_property
+    def amplitudes(self) -> np.ndarray:
+        amps = np.zeros((len(self.a_basis), len(self.b_basis)), dtype=self.coefficients.dtype)
+        amps[self.a_index, np.arange(len(self.b_basis))] = self.coefficients
+        return amps
 
     def to_density(self) -> "CloneOutputDensity":
         flat = self.amplitudes.reshape(-1)
@@ -173,12 +193,11 @@ class CloneOutputDensity:
         return self.M + self.l
 
 
-def _accumulate_clone(amps: np.ndarray, j: OccupationVector, weight,
-                      a_basis: SectorBasis, b_basis: SectorBasis) -> None:
-    """Add `weight` times the clone of basis vector j onto the joint matrix."""
-    for qi, k in enumerate(b_basis):
-        target = OccupationVector(a + b for a, b in zip(j, k))
-        amps[a_basis.index(target), qi] += weight * clone_amplitude(j, k)
+def _clone_output(d: int, M: int, l: int, coefficients: np.ndarray,
+                  a_index: np.ndarray) -> CloneOutput:
+    return CloneOutput(d=d, M=M, l=l, a_basis=enumerate_sector(d, M + l),
+                       b_basis=enumerate_sector(d, l), coefficients=coefficients,
+                       a_index=a_index)
 
 
 def clone_basis_state(j, l: int) -> CloneOutput:
@@ -188,14 +207,11 @@ def clone_basis_state(j, l: int) -> CloneOutput:
     is already normalized.
     """
     j = j if isinstance(j, OccupationVector) else OccupationVector(j)
-    if l < 0:
-        raise ValueError(f"number of additional copies must be >= 0, got {l}")
-    d, m = j.d, j.total()
-    a_basis = enumerate_sector(d, m + l)
-    b_basis = enumerate_sector(d, l)
-    amps = np.zeros((len(a_basis), len(b_basis)))
-    _accumulate_clone(amps, j, 1.0, a_basis, b_basis)
-    return CloneOutput(d=d, M=m, l=l, a_basis=a_basis, b_basis=b_basis, amplitudes=amps)
+    amp, a_index = clone_coefficients(j.d, j.total(), l)
+    row = rank(j)
+    coefficients = np.zeros_like(amp)
+    coefficients[row] = amp[row]
+    return _clone_output(j.d, j.total(), l, coefficients, a_index)
 
 
 def expand_identical(x: PureQudit, M: int) -> SymmetricState:
@@ -206,26 +222,16 @@ def expand_identical(x: PureQudit, M: int) -> SymmetricState:
     """
     if M < 1:
         raise ValueError(f"number of copies must be >= 1, got {M}")
-    basis = enumerate_sector(x.d, M)
-    amps = np.empty(len(basis), dtype=complex)
-    log_m = log_factorial(M)
-    for i, j in enumerate(basis):
-        log_coef = 0.5 * (log_m - sum(log_factorial(ji) for ji in j))
-        amps[i] = np.exp(log_coef) * np.prod([xi**ji for xi, ji in zip(x.x, j)])
-    return SymmetricState(basis, amps)
+    j = sector_array(x.d, M)
+    amps = np.exp(0.5 * log_multinomials(j)) * np.prod(x.x ** j, axis=1)
+    return SymmetricState(enumerate_sector(x.d, M), amps)
 
 
 def clone_pure(x: PureQudit, M: int, l: int) -> CloneOutput:
     """Clone M identical pure qudits, conditioned on l extra copies."""
-    if l < 0:
-        raise ValueError(f"number of additional copies must be >= 0, got {l}")
-    state = expand_identical(x, M)
-    a_basis = enumerate_sector(x.d, M + l)
-    b_basis = enumerate_sector(x.d, l)
-    amps = np.zeros((len(a_basis), len(b_basis)), dtype=complex)
-    for coeff, j in zip(state.amplitudes, state.basis):
-        _accumulate_clone(amps, j, coeff, a_basis, b_basis)
-    return CloneOutput(d=x.d, M=M, l=l, a_basis=a_basis, b_basis=b_basis, amplitudes=amps)
+    amp, a_index = clone_coefficients(x.d, M, l)
+    c = expand_identical(x, M).amplitudes
+    return _clone_output(x.d, M, l, c[:, None] * amp, a_index)
 
 
 def clone_mixed(rho: SymmetricDensity, l: int) -> CloneOutputDensity:
@@ -235,17 +241,14 @@ def clone_mixed(rho: SymmetricDensity, l: int) -> CloneOutputDensity:
     |out_j><out_j'| on the joint a/b registers.  Rank-1 inputs reproduce the
     outer product of the pure-state clone.
     """
-    if l < 0:
-        raise ValueError(f"number of additional copies must be >= 0, got {l}")
-    rho = SymmetricDensity.validated(rho.basis, rho.matrix)
     d, m = rho.d, rho.total
+    amp, a_index = clone_coefficients(d, m, l)
+    rho = SymmetricDensity.validated(rho.basis, rho.matrix)
     a_basis = enumerate_sector(d, m + l)
     b_basis = enumerate_sector(d, l)
     # Rows of w are the flattened joint amplitudes of each basis-input clone.
-    w = np.zeros((len(rho.basis), len(a_basis) * len(b_basis)))
-    for ji, j in enumerate(rho.basis):
-        row = np.zeros((len(a_basis), len(b_basis)))
-        _accumulate_clone(row, j, 1.0, a_basis, b_basis)
-        w[ji] = row.reshape(-1)
-    out = w.T @ rho.matrix @ w.conj()
+    b_dim = len(b_basis)
+    w = np.zeros((len(rho.basis), len(a_basis) * b_dim))
+    w[np.arange(len(rho.basis))[:, None], a_index * b_dim + np.arange(b_dim)] = amp
+    out = w.T @ rho.matrix @ w
     return CloneOutputDensity(d=d, M=m, l=l, a_basis=a_basis, b_basis=b_basis, matrix=out)

@@ -4,16 +4,29 @@ Reductions stay in the occupation representation throughout: the one-qudit
 marginal of an L-boson sector density is read off transition-operator
 expectations, rho_1[r, s] = Tr(rho_L a_s^dag a_r) / L, which keeps every cost
 polynomial in the sector size.
+
+A pure clone output is reduced straight from its clone coefficients
+B[j, k] = c_j amp(j, k), the coefficient of |j+k>_a |k>_b: with n = j+k and
+j' = j - e_r + e_s in the input sector,
+
+    rho_1[r, s] = (1/L) sum_{j,k} B[j, k] conj(B[j', k]) sqrt(n_r (n_s + 1)),
+
+and the L-copy fidelity is sum_k |sum_j conj(t_{j+k}) B[j, k]|^2 for the
+target amplitudes t.  Both touch only the |J| x |K| nonzeros, so neither the
+dense amplitude matrix nor the a x a density Psi Psi^dag is ever formed.
+`trace_out_b` forms that density for mixed outputs and for callers that
+want it.
 """
 
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 
 import numpy as np
 
 from .cloner import CloneOutput, CloneOutputDensity, PureQudit, SymmetricDensity, expand_identical
-from .fock import OccupationVector
+from .fock import rank, sector_array
 
 
 @dataclass(frozen=True)
@@ -55,32 +68,54 @@ def trace_out_b(out: CloneOutput | CloneOutputDensity) -> SymmetricDensity:
     return SymmetricDensity(out.a_basis, rho)
 
 
-def reduce_to_single(rho_L: SymmetricDensity) -> SingleQuditDensity:
-    """One-qudit marginal of an L-boson symmetric density.
+@cache
+def _hops(d: int, total: int) -> tuple:
+    """(r, s, src, dst) for every r != s over the (d, total) sector.
+
+    src holds the rows of the vectors n with n_r > 0, and dst the rows of
+    n - e_r + e_s, both in canonical order.
+    """
+    vectors = sector_array(d, total)
+    hops = []
+    for r in range(d):
+        src = np.flatnonzero(vectors[:, r])
+        for s in range(d):
+            if s != r:
+                shifted = vectors[src]  # a fresh copy: fancy indexing
+                shifted[:, r] -= 1
+                shifted[:, s] += 1
+                hops.append((r, s, src, rank(shifted)))
+    return tuple(hops)
+
+
+def reduce_to_single(rho_L: SymmetricDensity | CloneOutput) -> SingleQuditDensity:
+    """One-qudit marginal of an L-boson symmetric density or of a pure clone output.
 
     rho_1[r, s] = Tr(rho_L a_s^dag a_r) / L.  The matrix element of
     a_s^dag a_r between occupation vectors n and n - e_r + e_s is
-    sqrt(n_r (n_s + 1 - delta_rs)).
+    sqrt(n_r (n_s + 1 - delta_rs)).  A `CloneOutput` is reduced from its
+    clone coefficients (see the module docstring).
     """
-    L = rho_L.total
+    pure = isinstance(rho_L, CloneOutput)
+    L = rho_L.L if pure else rho_L.total
     if L < 1:
         raise ValueError("single-qudit reduction needs at least one boson")
     d = rho_L.d
-    basis = rho_L.basis
     rho1 = np.zeros((d, d), dtype=complex)
-    for n_idx, n in enumerate(basis):
-        for r in range(d):
-            if n[r] == 0:
-                continue
-            rho1[r, r] += n[r] * rho_L.matrix[n_idx, n_idx]
-            for s in range(d):
-                if s == r:
-                    continue
-                shifted = list(n)
-                shifted[r] -= 1
-                shifted[s] += 1
-                m_idx = basis.index(OccupationVector(shifted))
-                rho1[r, s] += math.sqrt(n[r] * (n[s] + 1)) * rho_L.matrix[n_idx, m_idx]
+    if pure:
+        j, k = sector_array(d, rho_L.M), sector_array(d, rho_L.l)
+        b = rho_L.coefficients
+        weights = np.abs(b) ** 2
+        rho1[np.diag_indices(d)] = j.T @ weights.sum(axis=1) + k.T @ weights.sum(axis=0)
+        for r, s, src, dst in _hops(d, rho_L.M):
+            n_r = j[src, r, None] + k[None, :, r]
+            n_s = j[src, s, None] + k[None, :, s]
+            rho1[r, s] = np.sum(b[src] * b[dst].conj() * np.sqrt(n_r * (n_s + 1)))
+    else:
+        n, matrix = sector_array(d, L), rho_L.matrix
+        rho1[np.diag_indices(d)] = n.T @ np.diagonal(matrix)
+        for r, s, src, dst in _hops(d, L):
+            rho1[r, s] = np.sum(np.sqrt(n[src, r] * (n[src, s] + 1)) * matrix[src, dst])
     rho1 /= L
     rho1 = 0.5 * (rho1 + rho1.conj().T)
     return SingleQuditDensity(rho1)
@@ -97,30 +132,32 @@ def fidelity_global(out: CloneOutput | CloneOutputDensity, x: PureQudit) -> floa
     """Overlap of the full L-copy output with L perfect copies of x."""
     if out.d != x.d:
         raise ValueError(f"dimension mismatch: output is {out.d}-level, qudit is {x.d}-level")
-    rho_a = trace_out_b(out)
     target = expand_identical(x, out.L).amplitudes
+    if isinstance(out, CloneOutput):
+        overlaps = np.sum(target[out.a_index].conj() * out.coefficients, axis=0)
+        return float(np.sum(np.abs(overlaps) ** 2))
+    rho_a = trace_out_b(out)
     return float(np.vdot(target, rho_a.matrix @ target).real)
 
 
-def closed_form_single(M: int, L: int, d: int) -> float:
-    """Optimal single-copy fidelity (M(L+d) + L - M) / (L(M+d)), exact rational."""
+def _check_cloning_shape(M: int, L: int, d: int) -> None:
     if d < 2:
         raise ValueError(f"qudit dimension must be >= 2, got {d}")
     if M < 1:
         raise ValueError(f"input copy number must be >= 1, got {M}")
     if L < M:
         raise ValueError(f"output copies L={L} fewer than input copies M={M}")
+
+
+def closed_form_single(M: int, L: int, d: int) -> float:
+    """Optimal single-copy fidelity (M(L+d) + L - M) / (L(M+d)), exact rational."""
+    _check_cloning_shape(M, L, d)
     return float(Fraction(M * (L + d) + L - M, L * (M + d)))
 
 
 def closed_form_global(M: int, L: int, d: int) -> float:
     """Optimal L-copy fidelity L!(M+d-1)! / (M!(L+d-1)!), exact rational."""
-    if d < 2:
-        raise ValueError(f"qudit dimension must be >= 2, got {d}")
-    if M < 1:
-        raise ValueError(f"input copy number must be >= 1, got {M}")
-    if L < M:
-        raise ValueError(f"output copies L={L} fewer than input copies M={M}")
+    _check_cloning_shape(M, L, d)
     num = math.factorial(L) * math.factorial(M + d - 1)
     den = math.factorial(M) * math.factorial(L + d - 1)
     return float(Fraction(num, den))

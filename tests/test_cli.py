@@ -6,9 +6,13 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from stimclone.cli import main
+from stimclone.fock import clone_amplitude, enumerate_sector
+
+from oracles import first_quantized_single_marginal, identical_expansion
 
 SRC_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "src")
 
@@ -179,6 +183,45 @@ def test_clone_json_and_csv_numbers_agree(capsys):
     for entry in report["amplitudes"]:
         key = (",".join(map(str, entry["a"])), ",".join(map(str, entry["b"])))
         assert csv_amps[key] == (entry["real"], entry["imag"])
+
+
+def test_clone_records_match_dense_reference(capsys):
+    text = "0.6+0.2i,0.5-0.1i,0.3"
+    m, l = 2, 2
+    args = ["clone", "--x", text, "--m", str(m), "--l", str(l)]
+    _, csv_out, _ = run_cli(capsys, args)
+    _, json_out, _ = run_cli(capsys, args + ["--format", "json"])
+
+    # Dense reference: every (a, b) entry from the scalar coefficients, in (p, q) order.
+    x = np.array([complex(p.replace("i", "j")) for p in text.split(",")])
+    x /= np.linalg.norm(x)
+    expansion = identical_expansion(x, m)
+    a_basis, b_basis = enumerate_sector(3, m + l), enumerate_sector(3, l)
+    psi = np.zeros((len(a_basis), len(b_basis)), dtype=complex)
+    for j, c in expansion.items():
+        for q, k in enumerate(b_basis):
+            psi[a_basis.index(tuple(a + b for a, b in zip(j, k))), q] += c * clone_amplitude(j, k)
+    expected = [(",".join(map(str, a_basis[p])), ",".join(map(str, b_basis[q])), psi[p, q])
+                for p, q in zip(*np.nonzero(psi))]
+    reduced = first_quantized_single_marginal(psi @ psi.conj().T, list(a_basis), 3, m + l)
+    fidelity = np.vdot(x, reduced @ x).real
+
+    header, rows = parse_csv(csv_out)
+    assert header == ["record", "a_occupation", "b_occupation", "row", "col", "real", "imag"]
+    assert [r[0] for r in rows] == ["amplitude"] * len(expected) + ["reduced"] * 9 + ["fidelity"]
+    report = json.loads(json_out)
+    assert len(report["amplitudes"]) == len(expected)
+    for row, entry, (a_txt, b_txt, value) in zip(rows, report["amplitudes"], expected):
+        assert (row[1], row[2]) == (a_txt, b_txt)
+        assert (",".join(map(str, entry["a"])), ",".join(map(str, entry["b"]))) == (a_txt, b_txt)
+        assert (float(row[5]), float(row[6])) == (entry["real"], entry["imag"])
+        assert abs(complex(entry["real"], entry["imag"]) - value) < 1e-13
+    for row in rows[len(expected):-1]:
+        r, s = int(row[3]), int(row[4])
+        assert [float(row[5]), float(row[6])] == report["reduced"][r][s]
+        assert abs(complex(float(row[5]), float(row[6])) - reduced[r, s]) < 1e-13
+    assert float(rows[-1][5]) == report["fidelity"]
+    assert abs(report["fidelity"] - fidelity) < 1e-13
 
 
 def test_clone_usage_errors(capsys):

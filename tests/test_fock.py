@@ -9,8 +9,11 @@ from stimclone.fock import (
     MAX_FACTORIAL,
     OccupationVector,
     clone_amplitude,
+    clone_coefficients,
     enumerate_sector,
     log_factorial,
+    rank,
+    sector_array,
 )
 
 from oracles import amplitude_squared, compositions
@@ -73,6 +76,19 @@ def test_sector_index_roundtrip():
         assert basis.index(tuple(vec)) == i
     with pytest.raises(ValueError):
         basis.index((4, 1, 0))
+
+
+def test_rank_is_the_enumeration_position():
+    for d in range(2, 7):
+        for total in range(9):
+            vectors = [tuple(v) for v in enumerate_sector(d, total)]
+            assert rank(np.array(vectors)).tolist() == list(range(len(vectors)))
+            assert [tuple(v) for v in sector_array(d, total)] == vectors
+
+
+def test_sector_index_rejects_wrong_mode_count():
+    with pytest.raises(ValueError):
+        enumerate_sector(3, 2).index((1, 1))
 
 
 def test_log_factorial_trivial_values():
@@ -143,3 +159,30 @@ def test_clone_amplitude_mode_permutation_symmetry():
 def test_clone_amplitude_rejects_mismatched_lengths():
     with pytest.raises(ValueError):
         clone_amplitude((1, 0), (1, 0, 0))
+
+
+def test_clone_coefficients_match_scalar_amplitudes():
+    for d in range(2, 5):
+        for m in range(4):
+            for l in range(4):
+                amp, a_index = clone_coefficients(d, m, l)
+                js, ks = enumerate_sector(d, m), enumerate_sector(d, l)
+                a_basis = enumerate_sector(d, m + l)
+                assert amp.shape == a_index.shape == (len(js), len(ks))
+                for p, j in enumerate(js):
+                    for q, k in enumerate(ks):
+                        assert abs(amp[p, q] - clone_amplitude(j, k)) <= 1e-14
+                        assert a_basis[a_index[p, q]] == tuple(a + b for a, b in zip(j, k))
+
+
+def test_clone_coefficients_reject_oversized_shapes():
+    # M + l + d - 1 is the largest factorial argument; one past the table must
+    # raise ValueError, not index off its end.
+    amp, _ = clone_coefficients(2, 150, MAX_FACTORIAL - 151)
+    assert np.all(np.isfinite(amp))
+    for d, m, l in [(2, 150, MAX_FACTORIAL - 150), (2, 0, MAX_FACTORIAL), (3, MAX_FACTORIAL, 1)]:
+        with pytest.raises(ValueError):
+            clone_coefficients(d, m, l)
+    for d, m, l in [(1, 1, 1), (2, -1, 1), (2, 1, -1)]:
+        with pytest.raises(ValueError):
+            clone_coefficients(d, m, l)

@@ -246,3 +246,35 @@ def test_maximally_mixed_input_clones_to_maximally_mixed():
     out = clone_mixed(rho, 1)
     single = reduce_to_single(trace_out_b(out))
     assert np.max(np.abs(single.matrix - np.eye(2) / 2)) < 1e-12
+
+
+def _clone_outputs_with_reference():
+    """Random pure inputs and basis inputs (l = 0 included), each with a reference qudit."""
+    rng = np.random.default_rng(43)
+    cases = []
+    for d, m, l in [(2, 1, 3), (3, 2, 2), (4, 1, 2), (3, 3, 0), (5, 2, 1)]:
+        x = PureQudit.random(d, rng)
+        cases.append((clone_pure(x, m, l), x))
+    for j, l in [((1, 2, 0), 0), ((1, 0), 3), ((0, 0, 0), 2), ((2, 1, 1), 1), ((0, 3), 0)]:
+        cases.append((clone_basis_state(j, l), PureQudit.random(len(j), rng)))
+    return cases
+
+
+def test_reduce_to_single_from_coefficients_matches_dense_route():
+    for out, _ in _clone_outputs_with_reference():
+        direct = reduce_to_single(out).matrix
+        dense = reduce_to_single(trace_out_b(out)).matrix
+        assert np.max(np.abs(direct - dense)) < 1e-13
+
+
+def test_fidelity_global_from_coefficients_matches_dense_overlap():
+    for out, x in _clone_outputs_with_reference():
+        target = expand_identical(x, out.L).amplitudes
+        psi = out.amplitudes
+        dense = np.vdot(target, psi @ (psi.conj().T @ target)).real
+        assert abs(fidelity_global(out, x) - dense) < 1e-13
+
+
+def test_reduce_to_single_rejects_vacuum_clone_output():
+    with pytest.raises(ValueError):
+        reduce_to_single(clone_basis_state((0, 0), 0))
