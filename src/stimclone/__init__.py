@@ -28,7 +28,6 @@ from .ladder import (
 )
 from .cloner import (
     CloneOutput,
-    CloneOutputDensity,
     PureQudit,
     SymmetricDensity,
     SymmetricState,
@@ -73,7 +72,6 @@ __all__ = [
     "ladder_matrix",
     "propagator",
     "CloneOutput",
-    "CloneOutputDensity",
     "PureQudit",
     "SymmetricDensity",
     "SymmetricState",

@@ -265,8 +265,12 @@ def cmd_clone(args) -> int:
     header = ("record", "a_occupation", "b_occupation", "row", "col", "real", "imag")
     rows = []
     amp_entries = []
-    ps, qs = np.nonzero(out.amplitudes)  # row-major, so in (p, q) order
-    nonzero = out.amplitudes[ps, qs]
+    # Nonzeros straight from the clone coefficients, listed in (p, q) order.
+    js, qs = np.nonzero(out.coefficients)
+    ps = out.a_index[js, qs]
+    order = np.lexsort((qs, ps))
+    js, ps, qs = js[order], ps[order], qs[order]
+    nonzero = out.coefficients[js, qs]
     for p, q, re, im in zip(ps.tolist(), qs.tolist(), nonzero.real.tolist(), nonzero.imag.tolist()):
         a_vec, b_vec = out.a_basis[p], out.b_basis[q]
         rows.append(("amplitude", ",".join(map(str, a_vec)), ",".join(map(str, b_vec)),

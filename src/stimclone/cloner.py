@@ -25,8 +25,8 @@ from .fock import (
     sector_array,
 )
 
-# Density inputs with eigenvalues below this are rejected; anything between
-# -PSD_TOLERANCE and 0 is treated as round-off, clipped and renormalized.
+# `clone_mixed` rejects density inputs with eigenvalues below this; anything
+# between -PSD_TOLERANCE and 0 is treated as round-off, dropped and renormalized.
 PSD_TOLERANCE = 1e-8
 _HERMITICITY_TOL = 1e-12
 _TRACE_TOL = 1e-12
@@ -43,6 +43,8 @@ class PureQudit:
         x = np.asarray(self.x, dtype=complex)
         if x.ndim != 1 or x.size < 2:
             raise ValueError("pure qudit needs a 1-d amplitude vector of length >= 2")
+        if not np.all(np.isfinite(x)):
+            raise ValueError("pure qudit amplitudes must be finite")
         if abs(np.vdot(x, x).real - 1.0) > _NORM_TOL:
             raise ValueError(f"pure qudit is not normalized: |x|^2 = {np.vdot(x, x).real!r}")
         object.__setattr__(self, "x", x)
@@ -87,9 +89,10 @@ class SymmetricState:
 class SymmetricDensity:
     """Density operator on one fixed-total occupation sector.
 
-    The constructor checks hermiticity and unit trace.  Use `validated` for
-    user-supplied matrices: it additionally checks positivity, rejecting
-    eigenvalues below -PSD_TOLERANCE and clipping mild numerical negatives.
+    The constructor checks that the matrix is finite, Hermitian and of unit
+    trace.  Positivity is checked by `clone_mixed` on the eigendecomposition
+    it computes anyway: it rejects eigenvalues below -PSD_TOLERANCE and drops
+    milder negatives as round-off.
     """
 
     basis: SectorBasis
@@ -100,6 +103,8 @@ class SymmetricDensity:
         n = len(self.basis)
         if mat.shape != (n, n):
             raise ValueError(f"expected a {n}x{n} matrix, got shape {mat.shape}")
+        if not np.all(np.isfinite(mat)):
+            raise ValueError("density matrix entries must be finite")
         if np.max(np.abs(mat - mat.conj().T)) > _HERMITICITY_TOL:
             raise ValueError("density matrix is not Hermitian")
         if abs(np.trace(mat).real - 1.0) > _TRACE_TOL:
@@ -115,20 +120,6 @@ class SymmetricDensity:
         return self.basis.total
 
     @classmethod
-    def validated(cls, basis: SectorBasis, matrix) -> "SymmetricDensity":
-        """Validate a user-supplied matrix, clipping round-off negativity."""
-        rho = cls(basis, matrix)
-        evals, evecs = np.linalg.eigh(rho.matrix)
-        if evals.min() < -PSD_TOLERANCE:
-            raise ValueError(f"density matrix has negative eigenvalue {evals.min()!r}")
-        if evals.min() >= 0.0:
-            return rho
-        evals = np.clip(evals, 0.0, None)
-        mat = (evecs * evals) @ evecs.conj().T
-        mat /= np.trace(mat).real
-        return cls(basis, 0.5 * (mat + mat.conj().T))
-
-    @classmethod
     def maximally_mixed(cls, d: int, total: int) -> "SymmetricDensity":
         basis = enumerate_sector(d, total)
         return cls(basis, np.eye(len(basis)) / len(basis))
@@ -136,7 +127,7 @@ class SymmetricDensity:
 
 @dataclass(frozen=True)
 class CloneOutput:
-    """Pure joint output conditioned on l extra copies.
+    """Joint output conditioned on l extra copies, kept as clone coefficients.
 
     An input sum_j c_j |J[j]> of M photons clones to
     sum_{j,k} coefficients[j, k] |a_basis[a_index[j, k]]>_a |b_basis[k]>_b,
@@ -145,9 +136,14 @@ class CloneOutput:
     each k the map j -> a_index[j, k] is one-to-one, so these |J| x |K|
     entries are all the nonzeros the joint state can have.
 
-    `amplitudes[p, q]` is the dense view: the coefficient of a-occupation
-    `a_basis[p]` (total M+l) with b-occupation `b_basis[q]` (total l).  It
-    is formed on first access only.
+    A mixed output carries one leading component axis: coefficients[i] is the
+    pure clone of sqrt(p_i) v_i for the eigenpairs (p_i, v_i) of the input,
+    and the joint density is the sum of the components' projectors.  Pure and
+    basis outputs have 2-d coefficients.
+
+    `amplitudes[..., p, q]` is the dense view: the coefficient of
+    a-occupation `a_basis[p]` (total M+l) with b-occupation `b_basis[q]`
+    (total l), per component.  It is formed on first access only.
     """
 
     d: int
@@ -164,33 +160,15 @@ class CloneOutput:
 
     @cached_property
     def amplitudes(self) -> np.ndarray:
-        amps = np.zeros((len(self.a_basis), len(self.b_basis)), dtype=self.coefficients.dtype)
-        amps[self.a_index, np.arange(len(self.b_basis))] = self.coefficients
+        shape = self.coefficients.shape[:-2] + (len(self.a_basis), len(self.b_basis))
+        amps = np.zeros(shape, dtype=self.coefficients.dtype)
+        amps[..., self.a_index, np.arange(len(self.b_basis))] = self.coefficients
         return amps
 
-    def to_density(self) -> "CloneOutputDensity":
-        flat = self.amplitudes.reshape(-1)
-        return CloneOutputDensity(
-            d=self.d, M=self.M, l=self.l,
-            a_basis=self.a_basis, b_basis=self.b_basis,
-            matrix=np.outer(flat, flat.conj()),
-        )
-
-
-@dataclass(frozen=True)
-class CloneOutputDensity:
-    """Mixed joint output conditioned on l; indexed by a_index * len(b_basis) + b_index."""
-
-    d: int
-    M: int
-    l: int
-    a_basis: SectorBasis
-    b_basis: SectorBasis
-    matrix: np.ndarray
-
-    @property
-    def L(self) -> int:
-        return self.M + self.l
+    def to_density(self) -> np.ndarray:
+        """Dense (ab) x (ab) joint density, indexed by p * len(b_basis) + q."""
+        flat = self.amplitudes.reshape(-1, len(self.a_basis) * len(self.b_basis))
+        return flat.T @ flat.conj()
 
 
 def _clone_output(d: int, M: int, l: int, coefficients: np.ndarray,
@@ -234,21 +212,21 @@ def clone_pure(x: PureQudit, M: int, l: int) -> CloneOutput:
     return _clone_output(x.d, M, l, c[:, None] * amp, a_index)
 
 
-def clone_mixed(rho: SymmetricDensity, l: int) -> CloneOutputDensity:
+def clone_mixed(rho: SymmetricDensity, l: int) -> CloneOutput:
     """Clone an arbitrary (possibly mixed) symmetric-sector input.
 
-    Acts linearly on the input: rho maps to sum_{j j'} rho[j, j'] times
-    |out_j><out_j'| on the joint a/b registers.  Rank-1 inputs reproduce the
-    outer product of the pure-state clone.
+    The cloner is linear, so rho = sum_i p_i |v_i><v_i| clones to the
+    mixture of the pure clones of its eigenvectors: one output component
+    sqrt(p_i) v_i[j] amp[j, k] per nonzero eigenvalue.  Eigenvalues below
+    -PSD_TOLERANCE are rejected; the rest below the round-off cutoff are
+    dropped and the kept ones renormalized.  Rank-1 inputs reproduce the
+    pure-state clone up to a global phase.
     """
-    d, m = rho.d, rho.total
-    amp, a_index = clone_coefficients(d, m, l)
-    rho = SymmetricDensity.validated(rho.basis, rho.matrix)
-    a_basis = enumerate_sector(d, m + l)
-    b_basis = enumerate_sector(d, l)
-    # Rows of w are the flattened joint amplitudes of each basis-input clone.
-    b_dim = len(b_basis)
-    w = np.zeros((len(rho.basis), len(a_basis) * b_dim))
-    w[np.arange(len(rho.basis))[:, None], a_index * b_dim + np.arange(b_dim)] = amp
-    out = w.T @ rho.matrix @ w
-    return CloneOutputDensity(d=d, M=m, l=l, a_basis=a_basis, b_basis=b_basis, matrix=out)
+    amp, a_index = clone_coefficients(rho.d, rho.total, l)
+    evals, evecs = np.linalg.eigh(rho.matrix)
+    if evals.min() < -PSD_TOLERANCE:
+        raise ValueError(f"density matrix has negative eigenvalue {evals.min()!r}")
+    # Eigenvalues below the numerical-rank cutoff (as in matrix_rank) are round-off.
+    keep = evals > len(evals) * np.finfo(float).eps * evals.max()
+    components = np.sqrt(evals[keep] / evals[keep].sum()) * evecs[:, keep]  # sqrt(p_i) v_i
+    return _clone_output(rho.d, rho.total, l, components.T[:, :, None] * amp, a_index)

@@ -5,17 +5,19 @@ marginal of an L-boson sector density is read off transition-operator
 expectations, rho_1[r, s] = Tr(rho_L a_s^dag a_r) / L, which keeps every cost
 polynomial in the sector size.
 
-A pure clone output is reduced straight from its clone coefficients
+A clone output is reduced straight from its clone coefficients
 B[j, k] = c_j amp(j, k), the coefficient of |j+k>_a |k>_b: with n = j+k and
 j' = j - e_r + e_s in the input sector,
 
     rho_1[r, s] = (1/L) sum_{j,k} B[j, k] conj(B[j', k]) sqrt(n_r (n_s + 1)),
 
 and the L-copy fidelity is sum_k |sum_j conj(t_{j+k}) B[j, k]|^2 for the
-target amplitudes t.  Both touch only the |J| x |K| nonzeros, so neither the
-dense amplitude matrix nor the a x a density Psi Psi^dag is ever formed.
-`trace_out_b` forms that density for mixed outputs and for callers that
-want it.
+target amplitudes t.  A mixed output is a stack of such components, one per
+eigenvector of its input, and both sums also run over the component axis.
+Both touch only the |J| x |K| nonzeros of each component, so none of the
+dense amplitude matrix, the a x a density and the (ab) x (ab) joint density
+is ever formed.  `trace_out_b` forms the a x a density for callers that want
+it.
 """
 
 import math
@@ -25,7 +27,7 @@ from functools import cache
 
 import numpy as np
 
-from .cloner import CloneOutput, CloneOutputDensity, PureQudit, SymmetricDensity, expand_identical
+from .cloner import CloneOutput, PureQudit, SymmetricDensity, expand_identical
 from .fock import rank, sector_array
 
 
@@ -54,16 +56,14 @@ class SingleQuditDensity:
         return cls(np.eye(d) / d)
 
 
-def trace_out_b(out: CloneOutput | CloneOutputDensity) -> SymmetricDensity:
+def trace_out_b(out: CloneOutput) -> SymmetricDensity:
     """Density of the M+l output copies, after discarding the b register.
 
-    For a pure joint output with amplitude matrix Psi this is Psi Psi^dag.
+    With Psi_i the amplitude matrix of component i this is sum_i Psi_i Psi_i^dag;
+    a pure output has a single component.
     """
-    if isinstance(out, CloneOutput):
-        rho = out.amplitudes @ out.amplitudes.conj().T
-    else:
-        a_dim, b_dim = len(out.a_basis), len(out.b_basis)
-        rho = np.einsum("piqi->pq", out.matrix.reshape(a_dim, b_dim, a_dim, b_dim))
+    psi = np.moveaxis(out.amplitudes, -2, 0).reshape(len(out.a_basis), -1)
+    rho = psi @ psi.conj().T
     rho = 0.5 * (rho + rho.conj().T)
     return SymmetricDensity(out.a_basis, rho)
 
@@ -89,28 +89,28 @@ def _hops(d: int, total: int) -> tuple:
 
 
 def reduce_to_single(rho_L: SymmetricDensity | CloneOutput) -> SingleQuditDensity:
-    """One-qudit marginal of an L-boson symmetric density or of a pure clone output.
+    """One-qudit marginal of an L-boson symmetric density or of a clone output.
 
     rho_1[r, s] = Tr(rho_L a_s^dag a_r) / L.  The matrix element of
     a_s^dag a_r between occupation vectors n and n - e_r + e_s is
     sqrt(n_r (n_s + 1 - delta_rs)).  A `CloneOutput` is reduced from its
     clone coefficients (see the module docstring).
     """
-    pure = isinstance(rho_L, CloneOutput)
-    L = rho_L.L if pure else rho_L.total
+    cloned = isinstance(rho_L, CloneOutput)
+    L = rho_L.L if cloned else rho_L.total
     if L < 1:
         raise ValueError("single-qudit reduction needs at least one boson")
     d = rho_L.d
     rho1 = np.zeros((d, d), dtype=complex)
-    if pure:
+    if cloned:
         j, k = sector_array(d, rho_L.M), sector_array(d, rho_L.l)
-        b = rho_L.coefficients
-        weights = np.abs(b) ** 2
+        b = rho_L.coefficients.reshape(-1, len(j), len(k))
+        weights = np.sum(np.abs(b) ** 2, axis=0)
         rho1[np.diag_indices(d)] = j.T @ weights.sum(axis=1) + k.T @ weights.sum(axis=0)
         for r, s, src, dst in _hops(d, rho_L.M):
             n_r = j[src, r, None] + k[None, :, r]
             n_s = j[src, s, None] + k[None, :, s]
-            rho1[r, s] = np.sum(b[src] * b[dst].conj() * np.sqrt(n_r * (n_s + 1)))
+            rho1[r, s] = np.sum(b[:, src] * b[:, dst].conj() * np.sqrt(n_r * (n_s + 1)))
     else:
         n, matrix = sector_array(d, L), rho_L.matrix
         rho1[np.diag_indices(d)] = n.T @ np.diagonal(matrix)
@@ -128,16 +128,13 @@ def fidelity_single(rho1: SingleQuditDensity, x: PureQudit) -> float:
     return float(np.vdot(x.x, rho1.matrix @ x.x).real)
 
 
-def fidelity_global(out: CloneOutput | CloneOutputDensity, x: PureQudit) -> float:
+def fidelity_global(out: CloneOutput, x: PureQudit) -> float:
     """Overlap of the full L-copy output with L perfect copies of x."""
     if out.d != x.d:
         raise ValueError(f"dimension mismatch: output is {out.d}-level, qudit is {x.d}-level")
     target = expand_identical(x, out.L).amplitudes
-    if isinstance(out, CloneOutput):
-        overlaps = np.sum(target[out.a_index].conj() * out.coefficients, axis=0)
-        return float(np.sum(np.abs(overlaps) ** 2))
-    rho_a = trace_out_b(out)
-    return float(np.vdot(target, rho_a.matrix @ target).real)
+    overlaps = np.sum(target[out.a_index].conj() * out.coefficients, axis=-2)
+    return float(np.sum(np.abs(overlaps) ** 2))
 
 
 def _check_cloning_shape(M: int, L: int, d: int) -> None:

@@ -240,9 +240,9 @@ def test_criterion_08_mixed_input_handling(criterion_log):
                 p = float(rng.uniform(0.2, 0.8))
                 blended = clone_mixed(
                     SymmetricDensity(basis, p * rho_a + (1 - p) * rho_b), l
-                ).matrix
-                split = (p * clone_mixed(SymmetricDensity(basis, rho_a), l).matrix
-                         + (1 - p) * clone_mixed(SymmetricDensity(basis, rho_b), l).matrix)
+                ).to_density()
+                split = (p * clone_mixed(SymmetricDensity(basis, rho_a), l).to_density()
+                         + (1 - p) * clone_mixed(SymmetricDensity(basis, rho_b), l).to_density())
                 linearity_dev = max(linearity_dev, float(np.max(np.abs(blended - split))))
                 physicality_dev = max(
                     physicality_dev,
@@ -256,7 +256,7 @@ def test_criterion_08_mixed_input_handling(criterion_log):
         x = PureQudit.random(d, rng)
         dens = clone_mixed(expand_identical(x, m).density(), l)
         ref = clone_pure(x, m, l).to_density()
-        rank1_dev = max(rank1_dev, float(np.max(np.abs(dens.matrix - ref.matrix))))
+        rank1_dev = max(rank1_dev, float(np.max(np.abs(dens.to_density() - ref))))
 
     ok = linearity_dev < 1e-12 and physicality_dev < 1e-10 and rank1_dev < 1e-12
     criterion_log(8, ok, f"mixed inputs: linearity dev {linearity_dev:.2e}, "

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from stimclone.cli import main
+from stimclone.cloner import CloneOutput, PureQudit, clone_basis_state, clone_pure
 from stimclone.fock import clone_amplitude, enumerate_sector
 
 from oracles import first_quantized_single_marginal, identical_expansion
@@ -222,6 +223,32 @@ def test_clone_records_match_dense_reference(capsys):
         assert abs(complex(float(row[5]), float(row[6])) - reduced[r, s]) < 1e-13
     assert float(rows[-1][5]) == report["fidelity"]
     assert abs(report["fidelity"] - fidelity) < 1e-13
+
+
+def test_clone_lists_nonzeros_without_dense_amplitudes(capsys, monkeypatch):
+    cases = [
+        (["clone", "--j", "2,0,1", "--l", "2"], clone_basis_state((2, 0, 1), 2)),
+        (["clone", "--x", "0.6,0.8i", "--m", "2", "--l", "3"],
+         clone_pure(PureQudit(np.array([0.6, 0.8j]) / np.linalg.norm([0.6, 0.8j])), 2, 3)),
+    ]
+    expected = []
+    for _, out in cases:
+        # Dense reference: row-major nonzeros of the a x b amplitude matrix.
+        ps, qs = np.nonzero(out.amplitudes)
+        expected.append([[",".join(map(str, out.a_basis[p])), ",".join(map(str, out.b_basis[q])),
+                          repr(float(out.amplitudes[p, q].real)),
+                          repr(float(out.amplitudes[p, q].imag))]
+                         for p, q in zip(ps.tolist(), qs.tolist())])
+
+    def no_dense(self):
+        raise AssertionError("the dense amplitude matrix was formed")
+
+    monkeypatch.setattr(CloneOutput, "amplitudes", property(no_dense))
+    for (argv, _), records in zip(cases, expected):
+        code, out, _ = run_cli(capsys, argv)
+        assert code == 0
+        _, rows = parse_csv(out)
+        assert [[r[1], r[2], r[5], r[6]] for r in rows if r[0] == "amplitude"] == records
 
 
 def test_clone_usage_errors(capsys):

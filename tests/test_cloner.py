@@ -141,7 +141,7 @@ def test_clone_mixed_of_basis_projector_is_outer_product():
     rho[basis.index((1, 0)), basis.index((1, 0))] = 1.0
     dens = clone_mixed(SymmetricDensity(basis, rho), 1)
     ref = clone_basis_state((1, 0), 1).to_density()
-    assert np.max(np.abs(dens.matrix - ref.matrix)) < 1e-12
+    assert np.max(np.abs(dens.to_density() - ref)) < 1e-12
 
 
 def test_clone_mixed_reduces_to_clone_pure_on_rank_one_inputs():
@@ -151,7 +151,7 @@ def test_clone_mixed_reduces_to_clone_pure_on_rank_one_inputs():
         rho = expand_identical(x, m).density()
         dens = clone_mixed(rho, l)
         ref = clone_pure(x, m, l).to_density()
-        assert np.max(np.abs(dens.matrix - ref.matrix)) < 1e-12
+        assert np.max(np.abs(dens.to_density() - ref)) < 1e-12
 
 
 def test_clone_mixed_is_linear():
@@ -162,16 +162,16 @@ def test_clone_mixed_is_linear():
         rho_b = random_density(len(basis), 1, rng)
         p = float(rng.uniform(0.1, 0.9))
         blended = clone_mixed(SymmetricDensity(basis, p * rho_a + (1 - p) * rho_b), l)
-        split = (p * clone_mixed(SymmetricDensity(basis, rho_a), l).matrix
-                 + (1 - p) * clone_mixed(SymmetricDensity(basis, rho_b), l).matrix)
-        assert np.max(np.abs(blended.matrix - split)) < 1e-12
+        split = (p * clone_mixed(SymmetricDensity(basis, rho_a), l).to_density()
+                 + (1 - p) * clone_mixed(SymmetricDensity(basis, rho_b), l).to_density())
+        assert np.max(np.abs(blended.to_density() - split)) < 1e-12
 
 
 def test_clone_mixed_output_is_a_density():
     rng = np.random.default_rng(25)
     basis = enumerate_sector(2, 2)
     dens = clone_mixed(SymmetricDensity(basis, random_density(len(basis), 2, rng)), 1)
-    mat = dens.matrix
+    mat = dens.to_density()
     assert abs(np.trace(mat).real - 1.0) < 1e-12
     assert np.max(np.abs(mat - mat.conj().T)) < 1e-12
     assert np.linalg.eigvalsh(mat).min() > -1e-10
@@ -194,8 +194,8 @@ def test_clone_mixed_clips_roundoff_negativity():
     eps = 5e-9
     rho = SymmetricDensity(basis, np.diag([1.0 + eps, -eps]))
     dens = clone_mixed(rho, 1)
-    assert abs(np.trace(dens.matrix).real - 1.0) < 1e-12
-    assert np.linalg.eigvalsh(dens.matrix).min() > -1e-12
+    assert abs(np.trace(dens.to_density()).real - 1.0) < 1e-12
+    assert np.linalg.eigvalsh(dens.to_density()).min() > -1e-12
 
 
 def test_pure_qudit_validation_and_sampling():
@@ -206,3 +206,17 @@ def test_pure_qudit_validation_and_sampling():
         assert abs(np.vdot(x.x, x.x).real - 1.0) < 1e-12
     with pytest.raises(ValueError):
         PureQudit(np.array([0.5, 0.5]))
+
+
+def test_pure_qudit_rejects_non_finite_amplitudes():
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError):
+            PureQudit(np.array([bad, 1.0]))
+
+
+def test_symmetric_density_rejects_non_finite_entries():
+    basis = enumerate_sector(2, 1)
+    with pytest.raises(ValueError):
+        SymmetricDensity(basis, np.full((2, 2), np.nan))
+    with pytest.raises(ValueError):
+        SymmetricDensity(basis, np.array([[1.0, np.inf], [np.inf, 0.0]]))

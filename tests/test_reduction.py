@@ -3,6 +3,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from stimclone.cloner import (
     PureQudit,
@@ -63,7 +65,9 @@ def test_trace_out_b_pure_and_density_routes_agree():
     rng = np.random.default_rng(33)
     x = PureQudit.random(2, rng)
     out = clone_pure(x, 2, 1)
-    assert np.max(np.abs(trace_out_b(out).matrix - trace_out_b(out.to_density()).matrix)) < 1e-12
+    a_dim, b_dim = len(out.a_basis), len(out.b_basis)
+    dense = np.einsum("piqi->pq", out.to_density().reshape(a_dim, b_dim, a_dim, b_dim))
+    assert np.max(np.abs(trace_out_b(out).matrix - dense)) < 1e-12
 
 
 def test_reduce_to_single_concentrated_sector():
@@ -278,3 +282,72 @@ def test_fidelity_global_from_coefficients_matches_dense_overlap():
 def test_reduce_to_single_rejects_vacuum_clone_output():
     with pytest.raises(ValueError):
         reduce_to_single(clone_basis_state((0, 0), 0))
+
+
+def _mixed_inputs():
+    """Random mixed densities with d <= 3, M <= 2, l <= 2, rank-deficient ones included."""
+    rng = np.random.default_rng(44)
+    cases = []
+    for d, m, l in [(2, 1, 0), (2, 1, 2), (2, 2, 1), (3, 1, 1), (3, 2, 2), (3, 2, 0)]:
+        basis = enumerate_sector(d, m)
+        for r in sorted({1, max(1, len(basis) - 1), len(basis)}):
+            cases.append((SymmetricDensity(basis, random_density(len(basis), r, rng)), l))
+    return cases
+
+
+def _dense_a_density(out):
+    """a-register density from the dense joint density, by an einsum partial trace."""
+    a_dim, b_dim = len(out.a_basis), len(out.b_basis)
+    return np.einsum("piqi->pq", out.to_density().reshape(a_dim, b_dim, a_dim, b_dim))
+
+
+def test_mixed_clone_output_keeps_one_component_per_nonzero_eigenvalue():
+    for rho, l in _mixed_inputs():
+        out = clone_mixed(rho, l)
+        rank = np.linalg.matrix_rank(rho.matrix)
+        assert out.coefficients.shape == (rank, len(rho.basis), len(out.b_basis))
+
+
+def test_trace_out_b_of_mixed_clone_matches_dense_partial_trace():
+    for rho, l in _mixed_inputs():
+        out = clone_mixed(rho, l)
+        assert np.max(np.abs(trace_out_b(out).matrix - _dense_a_density(out))) < 1e-13
+
+
+def test_reduce_to_single_of_mixed_clone_matches_dense_oracle():
+    for rho, l in _mixed_inputs():
+        out = clone_mixed(rho, l)
+        oracle = first_quantized_single_marginal(
+            _dense_a_density(out), list(out.a_basis), out.d, out.L)
+        assert np.max(np.abs(reduce_to_single(out).matrix - oracle)) < 1e-13
+
+
+def test_fidelity_global_of_mixed_clone_matches_dense_overlap():
+    rng = np.random.default_rng(45)
+    for rho, l in _mixed_inputs():
+        out = clone_mixed(rho, l)
+        x = PureQudit.random(out.d, rng)
+        target = expand_identical(x, out.L).amplitudes
+        dense = np.vdot(target, _dense_a_density(out) @ target).real
+        assert abs(fidelity_global(out, x) - dense) < 1e-13
+
+
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(d=st.integers(2, 3), m=st.integers(1, 2), l=st.integers(0, 2),
+       rank=st.integers(1, 6), seed=st.integers(0, 2**32 - 1))
+def test_mixed_clone_one_copy_marginal_is_an_isotropically_shrunk_density(d, m, l, rank, seed):
+    basis = enumerate_sector(d, m)
+    rho = SymmetricDensity(basis, random_density(len(basis), min(rank, len(basis)),
+                                                 np.random.default_rng(seed)))
+    rho_in_1 = reduce_to_single(rho)
+    # A near-maximally-mixed one-copy input leaves the shrinking factor undetermined.
+    assume(np.linalg.norm(rho_in_1.matrix - np.eye(d) / d) > 1e-3)
+    rho_out_1 = reduce_to_single(clone_mixed(rho, l))
+    mat = rho_out_1.matrix
+    assert np.max(np.abs(mat - mat.conj().T)) < 1e-13
+    assert abs(np.trace(mat).real - 1.0) < 1e-13
+    assert np.linalg.eigvalsh(mat).min() > -1e-13
+    fit = shrinking_factor(rho_in_1, rho_out_1)
+    L = m + l
+    assert fit.isotropic
+    assert fit.eta == pytest.approx(float(Fraction(m * (L + d), L * (m + d))), abs=1e-10)
