@@ -19,7 +19,7 @@ import numpy as np
 
 from .cloner import PureQudit, clone_basis_state, clone_pure
 from .fock import OccupationVector, enumerate_sector
-from .ladder import emission_probabilities, ladder_matrix
+from .ladder import MAX_LADDER_ATOMS, emission_probabilities, ladder_matrix
 from .oracle import verify_evolution, verify_ladder
 from .reduction import (
     closed_form_global,
@@ -86,7 +86,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_ev = sub.add_parser("evolve", help="emission probabilities |f_l(tau)|^2")
     p_ev.add_argument("--d", type=int, required=True, help="qudit dimension (>= 2)")
     p_ev.add_argument("--m", type=int, required=True, help="input photon number M (>= 0)")
-    p_ev.add_argument("--n", type=int, required=True, help="number of excited atoms N (>= 1)")
+    p_ev.add_argument("--n", type=int, required=True,
+                      help=f"number of excited atoms N (1..{MAX_LADDER_ATOMS})")
     p_ev.add_argument("--tau", type=float, required=True,
                       help="dimensionless time gamma*t")
     add_io_flags(p_ev)

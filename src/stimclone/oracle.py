@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.linalg import expm
 
 from .fock import OccupationVector, enumerate_sector, clone_amplitude
 from .ladder import evolve, ladder_matrix
@@ -181,6 +180,8 @@ def verify_evolution(d: int, N: int, j, gamma: float = 1.0, t: float = 1.0,
     initial state and compares each overlap with the embedded output states
     to the tridiagonal-eigendecomposition amplitudes.
     """
+    from scipy.linalg import expm
+
     j = j if isinstance(j, OccupationVector) else OccupationVector(j)
     basis, h = build_full_hamiltonian(d, N, j, gamma)
     embedded = np.column_stack([embed_clone_state(basis, l) for l in range(N + 1)])

@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ import pytest
 from stimclone.cli import main
 from stimclone.cloner import CloneOutput, PureQudit, clone_basis_state, clone_pure
 from stimclone.fock import clone_amplitude, enumerate_sector
+from stimclone.ladder import MAX_LADDER_ATOMS
 
 from oracles import first_quantized_single_marginal, identical_expansion
 
@@ -325,3 +327,28 @@ def test_repeated_runs_are_byte_identical():
         assert first.returncode == 0
         assert first.stdout == second.stdout
         assert first.stderr == second.stderr
+
+
+def test_evolve_rejects_oversized_ladder(capsys):
+    start = time.perf_counter()
+    with pytest.raises(SystemExit) as exc:
+        main(["evolve", "--d", "2", "--m", "0", "--n", str(10**9), "--tau", "1"])
+    assert exc.value.code == 2
+    assert time.perf_counter() - start < 0.5
+    assert str(MAX_LADDER_ATOMS) in capsys.readouterr().err
+
+
+def test_cli_import_and_fidelity_run_do_not_load_scipy():
+    script = (
+        "import contextlib, io, sys\n"
+        "import stimclone.cli\n"
+        "assert 'scipy' not in sys.modules, 'import'\n"
+        "with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):\n"
+        "    code = stimclone.cli.main(['fidelity', '--d', '3', '--m', '1', '--l-max', '3'])\n"
+        "assert code == 0\n"
+        "assert 'scipy' not in sys.modules, 'fidelity'\n"
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.path.abspath(SRC_DIR) + os.pathsep + env.get("PYTHONPATH", "")
+    result = subprocess.run([sys.executable, "-c", script], capture_output=True, env=env)
+    assert result.returncode == 0, result.stderr.decode()

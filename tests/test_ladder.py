@@ -1,9 +1,19 @@
 import math
+import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.linalg import eigh_tridiagonal, expm
 
-from stimclone.ladder import emission_probabilities, evolve, ladder_matrix, propagator
+from stimclone.ladder import (
+    MAX_LADDER_ATOMS,
+    emission_probabilities,
+    evolve,
+    ladder_matrix,
+    propagator,
+)
 from stimclone.oracle import build_full_hamiltonian, embed_clone_state
 
 
@@ -120,3 +130,57 @@ def test_evolve_rejects_nonfinite_time():
         evolve(h, math.inf)
     with pytest.raises(ValueError):
         evolve(h, math.nan)
+
+
+def _full_spectrum_amplitudes(h, t):
+    # Reference: one eigendecomposition of the whole (N+1)-size ladder.
+    w, v = eigh_tridiagonal(np.zeros(h.size), np.asarray(h.offdiag))
+    return v.astype(complex) @ (np.exp(-1j * w * t) * v[0])
+
+
+def test_evolve_matches_dense_expm_on_small_ladders():
+    worst = 0.0
+    for n in range(1, 13):
+        for d in (2, 6):
+            for m in (0, 6):
+                h = ladder_matrix(d, n, m)
+                for t in (-2.3, 0.0, 0.7, 10.0):
+                    expected = expm(-1j * t * h.matrix())[:, 0]
+                    worst = max(worst, float(np.max(np.abs(evolve(h, t).amplitudes - expected))))
+    assert worst <= 1e-12
+
+
+@pytest.mark.parametrize("n", [999, 1000])
+@pytest.mark.parametrize("d, m, tau", [(6, 6, 3.0), (2, 0, 3.0)])
+def test_evolve_matches_full_spectrum_reference_at_large_n(n, d, m, tau):
+    h = ladder_matrix(d, n, m)
+    profile = evolve(h, tau)
+    assert np.max(np.abs(profile.amplitudes - _full_spectrum_amplitudes(h, tau))) <= 1e-10
+    assert abs(profile.probabilities.sum() - 1.0) <= 1e-12
+
+
+def test_propagator_matches_dense_expm_and_is_unitary():
+    for n in range(1, 13):
+        for d, m in ((2, 0), (3, 1), (6, 6)):
+            h = ladder_matrix(d, n, m)
+            for t in (-2.3, 0.7, 10.0):
+                p = propagator(h, t)
+                assert np.max(np.abs(p - expm(-1j * t * h.matrix()))) <= 1e-12
+                assert np.linalg.norm(p @ p.conj().T - np.eye(h.size), 2) <= 1e-12
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(d=st.integers(2, 6), n=st.integers(1, 64), m=st.integers(0, 6),
+       t=st.floats(-10.0, 10.0, allow_nan=False))
+def test_evolve_is_unitary(d, n, m, t):
+    probs = emission_probabilities(ladder_matrix(d, n, m), t)
+    assert abs(probs.sum() - 1.0) <= 1e-12
+
+
+def test_ladder_matrix_rejects_oversized_ladders_at_once():
+    ladder_matrix(2, MAX_LADDER_ATOMS, 0)
+    start = time.perf_counter()
+    for n in (MAX_LADDER_ATOMS + 1, 10**9):
+        with pytest.raises(ValueError, match="excited atoms"):
+            ladder_matrix(2, n, 0)
+    assert time.perf_counter() - start < 0.1
