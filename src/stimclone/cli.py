@@ -12,13 +12,12 @@ import argparse
 import csv
 import io
 import json
-import math
 import sys
 
 import numpy as np
 
 from .cloner import PureQudit, clone_basis_state, clone_pure
-from .fock import OccupationVector, enumerate_sector
+from .fock import OccupationVector, enumerate_sector, sector_array
 from .ladder import MAX_LADDER_ATOMS, emission_probabilities, ladder_matrix
 from .oracle import verify_evolution, verify_ladder
 from .reduction import (
@@ -161,13 +160,12 @@ def _human_table(header, rows) -> list[str]:
 
 
 def cmd_fidelity(args) -> int:
-    parser_error = args._parser.error
     if not 2 <= args.d <= 6:
-        parser_error(f"--d must be in 2..6, got {args.d}")
+        raise ValueError(f"--d must be in 2..6, got {args.d}")
     if not 1 <= args.m <= 6:
-        parser_error(f"--m must be in 1..6, got {args.m}")
+        raise ValueError(f"--m must be in 1..6, got {args.m}")
     if not args.m <= args.l_max <= 12:
-        parser_error(f"--l-max must be in {args.m}..12, got {args.l_max}")
+        raise ValueError(f"--l-max must be in {args.m}..12, got {args.l_max}")
 
     print(f"seed = {args.seed}", file=sys.stderr)
     rng = np.random.default_rng(args.seed)
@@ -196,16 +194,6 @@ def cmd_fidelity(args) -> int:
 
 
 def cmd_evolve(args) -> int:
-    parser_error = args._parser.error
-    if args.d < 2:
-        parser_error(f"--d must be >= 2, got {args.d}")
-    if args.m < 0:
-        parser_error(f"--m must be >= 0, got {args.m}")
-    if args.n < 1:
-        parser_error(f"--n must be >= 1, got {args.n}")
-    if not math.isfinite(args.tau):
-        parser_error(f"--tau must be finite, got {args.tau}")
-
     probs = emission_probabilities(ladder_matrix(args.d, args.n, args.m), args.tau)
     header = ("l", "probability")
     rows = [(l, float(p)) for l, p in enumerate(probs)]
@@ -225,36 +213,28 @@ def _reference_qudit(j: OccupationVector):
     for those the reference is that mode's unit vector.
     """
     total = j.total()
-    if total == 0:
+    if total == 0 or max(j) != total:
         return None
-    for i, count in enumerate(j):
-        if count == total:
-            unit = np.zeros(len(j), dtype=complex)
-            unit[i] = 1.0
-            return PureQudit(unit)
-    return None
+    return PureQudit(np.eye(len(j))[j.index(total)])
 
 
 def cmd_clone(args) -> int:
-    parser_error = args._parser.error
-    if args.l < 0:
-        parser_error(f"--l must be >= 0, got {args.l}")
     vector_d = len(args.x) if args.x is not None else args.j.d
     if args.d is not None and args.d != vector_d:
-        parser_error(f"--d {args.d} contradicts a {vector_d}-mode input vector")
+        raise ValueError(f"--d {args.d} contradicts a {vector_d}-mode input vector")
     if args.x is not None:
         if args.m is None or args.m < 1:
-            parser_error("--x requires --m >= 1")
+            raise ValueError("--x requires --m >= 1")
         norm = float(np.linalg.norm(args.x))
         if norm == 0.0:
-            parser_error("--x must not be the zero vector")
+            raise ValueError("--x must not be the zero vector")
         x = PureQudit(args.x / norm)
         out = clone_pure(x, args.m, args.l)
         params = {"d": x.d, "m": args.m, "l": args.l, "j": None,
                   "x": [[z.real, z.imag] for z in x.x]}
     else:
         if args.m is not None and args.m != args.j.total():
-            parser_error(f"--m {args.m} contradicts --j {','.join(map(str, args.j))}")
+            raise ValueError(f"--m {args.m} contradicts --j {','.join(map(str, args.j))}")
         x = _reference_qudit(args.j)
         out = clone_basis_state(args.j, args.l)
         params = {"d": args.j.d, "m": args.j.total(), "l": args.l,
@@ -272,20 +252,17 @@ def cmd_clone(args) -> int:
     order = np.lexsort((qs, ps))
     js, ps, qs = js[order], ps[order], qs[order]
     nonzero = out.coefficients[js, qs]
-    for p, q, re, im in zip(ps.tolist(), qs.tolist(), nonzero.real.tolist(), nonzero.imag.tolist()):
-        a_vec, b_vec = out.a_basis[p], out.b_basis[q]
+    a_vecs = sector_array(out.d, out.L)[ps].tolist()
+    b_vecs = sector_array(out.d, out.l)[qs].tolist()
+    for a_vec, b_vec, re, im in zip(a_vecs, b_vecs, nonzero.real.tolist(), nonzero.imag.tolist()):
         rows.append(("amplitude", ",".join(map(str, a_vec)), ",".join(map(str, b_vec)),
                      None, None, re, im))
-        amp_entries.append({"a": list(a_vec), "b": list(b_vec), "real": re, "imag": im})
+        amp_entries.append({"a": a_vec, "b": b_vec, "real": re, "imag": im})
     reduced_entries = None
     if reduced is not None:
-        d = reduced.d
-        reduced_entries = [[[float(reduced.matrix[r, s].real), float(reduced.matrix[r, s].imag)]
-                            for s in range(d)] for r in range(d)]
-        for r in range(d):
-            for s in range(d):
-                rows.append(("reduced", None, None, r, s,
-                             float(reduced.matrix[r, s].real), float(reduced.matrix[r, s].imag)))
+        reduced_entries = [[[z.real, z.imag] for z in row] for row in reduced.matrix.tolist()]
+        rows += [("reduced", None, None, r, s, *z) for r, row in enumerate(reduced_entries)
+                 for s, z in enumerate(row)]
     rows.append(("fidelity", None, None, None, None, fidelity, None))
 
     json_obj = {
@@ -310,9 +287,8 @@ def _verify_sectors():
 
 
 def cmd_verify(args) -> int:
-    parser_error = args._parser.error
     if args.samples < 1:
-        parser_error(f"--samples must be >= 1, got {args.samples}")
+        raise ValueError(f"--samples must be >= 1, got {args.samples}")
     if args.json:
         args.format = "json"
     perturbation = PERTURBATION_SIZE if args.inject_perturbation else 0.0
@@ -363,7 +339,6 @@ def cmd_verify(args) -> int:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    args._parser = parser
     handlers = {
         "fidelity": cmd_fidelity,
         "evolve": cmd_evolve,

@@ -134,7 +134,9 @@ class CloneOutput:
     with coefficients[j, k] = c_j amp[j, k] and (amp, a_index) from
     `fock.clone_coefficients(d, M, l)`; J is the (d, M) input sector.  For
     each k the map j -> a_index[j, k] is one-to-one, so these |J| x |K|
-    entries are all the nonzeros the joint state can have.
+    entries are all the nonzeros the joint state can have.  Only the
+    coefficients are stored: `a_basis`, `b_basis` and `a_index` follow from
+    (d, M, l) and are read from the cached sectors and clone map.
 
     A mixed output carries one leading component axis: coefficients[i] is the
     pure clone of sqrt(p_i) v_i for the eigenpairs (p_i, v_i) of the input,
@@ -149,14 +151,23 @@ class CloneOutput:
     d: int
     M: int
     l: int
-    a_basis: SectorBasis
-    b_basis: SectorBasis
     coefficients: np.ndarray
-    a_index: np.ndarray
 
     @property
     def L(self) -> int:
         return self.M + self.l
+
+    @property
+    def a_basis(self) -> SectorBasis:
+        return enumerate_sector(self.d, self.L)
+
+    @property
+    def b_basis(self) -> SectorBasis:
+        return enumerate_sector(self.d, self.l)
+
+    @property
+    def a_index(self) -> np.ndarray:
+        return clone_coefficients(self.d, self.M, self.l)[1]
 
     @cached_property
     def amplitudes(self) -> np.ndarray:
@@ -171,13 +182,6 @@ class CloneOutput:
         return flat.T @ flat.conj()
 
 
-def _clone_output(d: int, M: int, l: int, coefficients: np.ndarray,
-                  a_index: np.ndarray) -> CloneOutput:
-    return CloneOutput(d=d, M=M, l=l, a_basis=enumerate_sector(d, M + l),
-                       b_basis=enumerate_sector(d, l), coefficients=coefficients,
-                       a_index=a_index)
-
-
 def clone_basis_state(j, l: int) -> CloneOutput:
     """Clone a single occupation basis vector, conditioned on l extra copies.
 
@@ -185,11 +189,11 @@ def clone_basis_state(j, l: int) -> CloneOutput:
     is already normalized.
     """
     j = j if isinstance(j, OccupationVector) else OccupationVector(j)
-    amp, a_index = clone_coefficients(j.d, j.total(), l)
+    amp, _ = clone_coefficients(j.d, j.total(), l)
     row = rank(j)
     coefficients = np.zeros_like(amp)
     coefficients[row] = amp[row]
-    return _clone_output(j.d, j.total(), l, coefficients, a_index)
+    return CloneOutput(j.d, j.total(), l, coefficients)
 
 
 def expand_identical(x: PureQudit, M: int) -> SymmetricState:
@@ -207,9 +211,9 @@ def expand_identical(x: PureQudit, M: int) -> SymmetricState:
 
 def clone_pure(x: PureQudit, M: int, l: int) -> CloneOutput:
     """Clone M identical pure qudits, conditioned on l extra copies."""
-    amp, a_index = clone_coefficients(x.d, M, l)
+    amp, _ = clone_coefficients(x.d, M, l)
     c = expand_identical(x, M).amplitudes
-    return _clone_output(x.d, M, l, c[:, None] * amp, a_index)
+    return CloneOutput(x.d, M, l, c[:, None] * amp)
 
 
 def clone_mixed(rho: SymmetricDensity, l: int) -> CloneOutput:
@@ -222,11 +226,11 @@ def clone_mixed(rho: SymmetricDensity, l: int) -> CloneOutput:
     dropped and the kept ones renormalized.  Rank-1 inputs reproduce the
     pure-state clone up to a global phase.
     """
-    amp, a_index = clone_coefficients(rho.d, rho.total, l)
+    amp, _ = clone_coefficients(rho.d, rho.total, l)
     evals, evecs = np.linalg.eigh(rho.matrix)
     if evals.min() < -PSD_TOLERANCE:
         raise ValueError(f"density matrix has negative eigenvalue {evals.min()!r}")
     # Eigenvalues below the numerical-rank cutoff (as in matrix_rank) are round-off.
     keep = evals > len(evals) * np.finfo(float).eps * evals.max()
     components = np.sqrt(evals[keep] / evals[keep].sum()) * evecs[:, keep]  # sqrt(p_i) v_i
-    return _clone_output(rho.d, rho.total, l, components.T[:, :, None] * amp, a_index)
+    return CloneOutput(rho.d, rho.total, l, components.T[:, :, None] * amp)

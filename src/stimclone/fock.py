@@ -11,6 +11,7 @@ formed in floating point.
 import math
 from dataclasses import dataclass
 from functools import cache
+from itertools import chain, combinations
 
 import numpy as np
 
@@ -18,9 +19,13 @@ import numpy as np
 # package computes stays far below it.
 MAX_FACTORIAL = 200
 
+# Largest |J| x |K| table `clone_coefficients` builds.  Its intermediates peak
+# at about 150 bytes per entry at d = 6, so a table at this bound takes about
+# 0.5 GB; `clone --d 6 --j 6,0,0,0,0,0 --l 12` (2,858,856 entries) fits.
+MAX_CLONE_ENTRIES = 3_000_000
+
 # ln(n!) from the exact integer factorial, so each entry is correct to 1 ulp.
-_LOG_FACTORIALS = tuple(math.log(math.factorial(n)) for n in range(MAX_FACTORIAL + 1))
-_LOG_FACTORIAL_TABLE = np.array(_LOG_FACTORIALS)
+_LOG_FACTORIAL_TABLE = np.array([math.log(math.factorial(n)) for n in range(MAX_FACTORIAL + 1)])
 _LOG_FACTORIAL_TABLE.setflags(write=False)
 
 
@@ -57,12 +62,12 @@ class SectorBasis:
 
     The canonical order is reverse-lexicographic on the counts: (2,0) comes
     before (1,1) before (0,2).  The order is deterministic, so matrices and
-    file output indexed by it are reproducible across runs.
+    file output indexed by it are reproducible across runs.  A view of
+    `sector_array(d, total)` made by `enumerate_sector`; vectors are made on access.
     """
 
     d: int
     total: int
-    vectors: tuple[OccupationVector, ...]
 
     def index(self, vec) -> int:
         """Position of `vec` in the canonical enumeration."""
@@ -72,45 +77,46 @@ class SectorBasis:
         return int(rank(key))
 
     def __len__(self) -> int:
-        return len(self.vectors)
+        return len(sector_array(self.d, self.total))
 
     def __iter__(self):
-        return iter(self.vectors)
+        # Rows of a validated sector skip OccupationVector's per-vector checks.
+        rows = sector_array(self.d, self.total).tolist()
+        return (tuple.__new__(OccupationVector, v) for v in rows)
 
     def __getitem__(self, i) -> OccupationVector:
-        return self.vectors[i]
+        return OccupationVector(sector_array(self.d, self.total)[i])
 
 
 @cache
-def _sector_vectors(d: int, total: int) -> tuple[OccupationVector, ...]:
-    def fill(modes_left: int, remaining: int):
-        if modes_left == 1:
-            yield (remaining,)
-            return
-        for first in range(remaining, -1, -1):
-            for rest in fill(modes_left - 1, remaining - first):
-                yield (first,) + rest
-
-    return tuple(OccupationVector(v) for v in fill(d, total))
-
-
 def enumerate_sector(d: int, total: int) -> SectorBasis:
     """Enumerate the occupation basis of `total` photons over `d` modes.
 
     Returns the C(total+d-1, d-1) occupation vectors in canonical
     (reverse-lexicographic) order.
     """
-    if d < 2:
-        raise ValueError(f"qudit dimension must be >= 2, got {d}")
-    if total < 0:
-        raise ValueError(f"total photon number must be >= 0, got {total}")
-    return SectorBasis(d=d, total=total, vectors=_sector_vectors(d, total))
+    sector_array(d, total)  # validates d and total
+    return SectorBasis(d=d, total=total)
 
 
 @cache
 def sector_array(d: int, total: int) -> np.ndarray:
-    """Read-only int array of the (d, total) sector, one row per vector, canonical order."""
-    vectors = np.array(enumerate_sector(d, total).vectors, dtype=np.int64).reshape(-1, d)
+    """Read-only int array of the (d, total) sector, one row per vector, canonical order.
+
+    Stars and bars: the d-1 bar positions among total+d-1 slots, in
+    lexicographic order, give the counts (gaps between bars) in
+    lexicographic order; reversed, they are the canonical order.
+    """
+    if d < 2:
+        raise ValueError(f"qudit dimension must be >= 2, got {d}")
+    if total < 0:
+        raise ValueError(f"total photon number must be >= 0, got {total}")
+    size = math.comb(total + d - 1, d - 1)
+    bars = np.full((size, d + 1), -1, dtype=np.int64)
+    bars[:, -1] = total + d - 1
+    bars[::-1, 1:-1] = np.fromiter(chain.from_iterable(combinations(range(total + d - 1), d - 1)),
+                                   dtype=np.int64, count=size * (d - 1)).reshape(size, d - 1)
+    vectors = np.diff(bars, axis=1) - 1
     vectors.setflags(write=False)
     return vectors
 
@@ -148,7 +154,7 @@ def log_factorial(n: int) -> float:
         raise ValueError(f"factorial of negative number: {n}")
     if n > MAX_FACTORIAL:
         raise ValueError(f"factorial bound exceeded: {n} > {MAX_FACTORIAL}")
-    return _LOG_FACTORIALS[n]
+    return _LOG_FACTORIAL_TABLE.item(n)
 
 
 def clone_amplitude(j, k) -> float:
@@ -191,6 +197,7 @@ def clone_coefficients(d: int, M: int, l: int) -> tuple[np.ndarray, np.ndarray]:
     amp[j, k] equals `clone_amplitude(J[j], K[k])`, and a_index[j, k] is the
     position of J[j] + K[k] in the (d, M+l) sector.  So basis input J[j]
     clones to sum_k amp[j, k] |a_index[j, k]>_a |k>_b.  Cached per shape.
+    Raises ValueError before allocating when |J| x |K| > MAX_CLONE_ENTRIES.
     """
     if d < 2:
         raise ValueError(f"qudit dimension must be >= 2, got {d}")
@@ -200,6 +207,9 @@ def clone_coefficients(d: int, M: int, l: int) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError(f"number of additional copies must be >= 0, got {l}")
     if M + l + d - 1 > MAX_FACTORIAL:
         raise ValueError(f"factorial bound exceeded: {M + l + d - 1} > {MAX_FACTORIAL}")
+    entries = math.comb(M + d - 1, d - 1) * math.comb(l + d - 1, d - 1)
+    if entries > MAX_CLONE_ENTRIES:
+        raise ValueError(f"clone table too large: {entries} entries > {MAX_CLONE_ENTRIES}")
     j = sector_array(d, M)
     k = sector_array(d, l)
     jk = j[:, None, :] + k[None, :, :]

@@ -70,10 +70,10 @@ def trace_out_b(out: CloneOutput) -> SymmetricDensity:
 
 @cache
 def _hops(d: int, total: int) -> tuple:
-    """(r, s, src, dst) for every r != s over the (d, total) sector.
+    """(r, s, src, dst, n_r, n_s + 1) for every r != s over the (d, total) sector.
 
-    src holds the rows of the vectors n with n_r > 0, and dst the rows of
-    n - e_r + e_s, both in canonical order.
+    src holds the rows of the vectors n with n_r > 0 and dst the rows of
+    n - e_r + e_s, in canonical order; n_r and n_s + 1 are columns over src.
     """
     vectors = sector_array(d, total)
     hops = []
@@ -84,7 +84,8 @@ def _hops(d: int, total: int) -> tuple:
                 shifted = vectors[src]  # a fresh copy: fancy indexing
                 shifted[:, r] -= 1
                 shifted[:, s] += 1
-                hops.append((r, s, src, rank(shifted)))
+                hops.append((r, s, src, rank(shifted), vectors[src, r, None],
+                             vectors[src, s, None] + 1))
     return tuple(hops)
 
 
@@ -94,28 +95,36 @@ def reduce_to_single(rho_L: SymmetricDensity | CloneOutput) -> SingleQuditDensit
     rho_1[r, s] = Tr(rho_L a_s^dag a_r) / L.  The matrix element of
     a_s^dag a_r between occupation vectors n and n - e_r + e_s is
     sqrt(n_r (n_s + 1 - delta_rs)).  A `CloneOutput` is reduced from its
-    clone coefficients (see the module docstring).
+    clone coefficients (see the module docstring).  A `SymmetricDensity` of
+    L bosons is the M = L, l = 0 case (K is the vacuum alone); only the weight
+    of a (src, dst) pair of input rows differs: sum_{i,k} B[i, src, k]
+    conj(B[i, dst, k]) for a clone output, rho_L[src, dst] for a density.
+    All-zero coefficient rows add nothing and are skipped; density rows are
+    all kept, because a density is not checked for positivity.
     """
+    d = rho_L.d
     cloned = isinstance(rho_L, CloneOutput)
-    L = rho_L.L if cloned else rho_L.total
+    if cloned:
+        M, l, b = rho_L.M, rho_L.l, rho_L.coefficients
+        b = b.reshape(-1, *b.shape[-2:])
+        weights, live = np.sum(np.abs(b) ** 2, axis=0), np.any(b, axis=(0, 2))
+    else:
+        M, l, matrix = rho_L.total, 0, rho_L.matrix
+        weights = np.diagonal(matrix)[:, None]
+    L = M + l
     if L < 1:
         raise ValueError("single-qudit reduction needs at least one boson")
-    d = rho_L.d
+    j, k = sector_array(d, M), sector_array(d, l)
     rho1 = np.zeros((d, d), dtype=complex)
-    if cloned:
-        j, k = sector_array(d, rho_L.M), sector_array(d, rho_L.l)
-        b = rho_L.coefficients.reshape(-1, len(j), len(k))
-        weights = np.sum(np.abs(b) ** 2, axis=0)
-        rho1[np.diag_indices(d)] = j.T @ weights.sum(axis=1) + k.T @ weights.sum(axis=0)
-        for r, s, src, dst in _hops(d, rho_L.M):
-            n_r = j[src, r, None] + k[None, :, r]
-            n_s = j[src, s, None] + k[None, :, s]
-            rho1[r, s] = np.sum(b[:, src] * b[:, dst].conj() * np.sqrt(n_r * (n_s + 1)))
-    else:
-        n, matrix = sector_array(d, L), rho_L.matrix
-        rho1[np.diag_indices(d)] = n.T @ np.diagonal(matrix)
-        for r, s, src, dst in _hops(d, L):
-            rho1[r, s] = np.sum(np.sqrt(n[src, r] * (n[src, s] + 1)) * matrix[src, dst])
+    rho1[np.diag_indices(d)] = j.T @ weights.sum(axis=1) + k.T @ weights.sum(axis=0)
+    for r, s, src, dst, j_r, j_s1 in _hops(d, M):
+        if cloned:
+            keep = live[src] & live[dst]
+            src, dst, j_r, j_s1 = src[keep], dst[keep], j_r[keep], j_s1[keep]
+            pair = (b[:, src] * b[:, dst].conj()).sum(axis=0)
+        else:
+            pair = matrix[src, dst][:, None]
+        rho1[r, s] = (pair * np.sqrt((j_r + k[:, r]) * (j_s1 + k[:, s]))).sum()
     rho1 /= L
     rho1 = 0.5 * (rho1 + rho1.conj().T)
     return SingleQuditDensity(rho1)

@@ -12,7 +12,7 @@ import pytest
 
 from stimclone.cli import main
 from stimclone.cloner import CloneOutput, PureQudit, clone_basis_state, clone_pure
-from stimclone.fock import clone_amplitude, enumerate_sector
+from stimclone.fock import MAX_CLONE_ENTRIES, clone_amplitude, enumerate_sector
 from stimclone.ladder import MAX_LADDER_ATOMS
 
 from oracles import first_quantized_single_marginal, identical_expansion
@@ -336,6 +336,29 @@ def test_evolve_rejects_oversized_ladder(capsys):
     assert exc.value.code == 2
     assert time.perf_counter() - start < 0.5
     assert str(MAX_LADDER_ATOMS) in capsys.readouterr().err
+
+
+def test_evolve_usage_errors(capsys):
+    for argv in (
+        ["evolve", "--d", "1", "--m", "0", "--n", "3", "--tau", "1"],
+        ["evolve", "--d", "2", "--m", "-1", "--n", "3", "--tau", "1"],
+        ["evolve", "--d", "2", "--m", "0", "--n", "0", "--tau", "1"],
+        ["evolve", "--d", "2", "--m", "0", "--n", "3", "--tau", "nan"],
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        capsys.readouterr()
+
+
+def test_clone_rejects_oversized_table(capsys):
+    # |K| = C(199, 5) ~ 2.5e9 passes the factorial bound; the entry bound stops it.
+    start = time.perf_counter()
+    with pytest.raises(SystemExit) as exc:
+        main(["clone", "--d", "6", "--j", "0,0,0,0,0,0", "--l", "194"])
+    assert exc.value.code == 2
+    assert time.perf_counter() - start < 0.5
+    assert str(MAX_CLONE_ENTRIES) in capsys.readouterr().err
 
 
 def test_cli_import_and_fidelity_run_do_not_load_scipy():

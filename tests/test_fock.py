@@ -1,4 +1,5 @@
 import math
+import time
 from fractions import Fraction
 from itertools import permutations
 
@@ -6,6 +7,7 @@ import numpy as np
 import pytest
 
 from stimclone.fock import (
+    MAX_CLONE_ENTRIES,
     MAX_FACTORIAL,
     OccupationVector,
     clone_amplitude,
@@ -62,11 +64,14 @@ def test_sector_sizes_match_binomial():
 
 
 def test_canonical_order_is_reverse_lexicographic():
-    for d, total in [(2, 4), (3, 3), (4, 2), (5, 3)]:
-        vectors = [tuple(v) for v in enumerate_sector(d, total)]
-        assert vectors == sorted(vectors, reverse=True)
-        assert vectors[0] == (total,) + (0,) * (d - 1)
-        assert vectors[-1] == (0,) * (d - 1) + (total,)
+    for d in range(2, 7):
+        for total in range(9):
+            vectors = [tuple(v) for v in enumerate_sector(d, total)]
+            assert vectors == sorted(vectors, reverse=True)
+            assert all(a > b for a, b in zip(vectors, vectors[1:]))  # strictly decreasing
+            assert all(min(v) >= 0 and sum(v) == total for v in vectors)
+            assert vectors[0] == (total,) + (0,) * (d - 1)
+            assert vectors[-1] == (0,) * (d - 1) + (total,)
 
 
 def test_sector_index_roundtrip():
@@ -186,3 +191,13 @@ def test_clone_coefficients_reject_oversized_shapes():
     for d, m, l in [(1, 1, 1), (2, -1, 1), (2, 1, -1)]:
         with pytest.raises(ValueError):
             clone_coefficients(d, m, l)
+
+
+def test_clone_coefficients_reject_oversized_tables_before_allocating():
+    # |J| x |K| above MAX_CLONE_ENTRIES: 462 x 8568 just above, 1 x C(199, 5) ~ 2.5e9 far above.
+    for d, m, l in [(6, 6, 13), (6, 0, 194)]:
+        assert math.comb(m + d - 1, d - 1) * math.comb(l + d - 1, d - 1) > MAX_CLONE_ENTRIES
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="clone table too large"):
+            clone_coefficients(d, m, l)
+        assert time.perf_counter() - start < 0.1

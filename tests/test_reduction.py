@@ -253,7 +253,7 @@ def test_maximally_mixed_input_clones_to_maximally_mixed():
 
 
 def _clone_outputs_with_reference():
-    """Random pure inputs and basis inputs (l = 0 included), each with a reference qudit."""
+    """Random, basis and zero-amplitude pure inputs (l = 0 included), each with a reference qudit."""
     rng = np.random.default_rng(43)
     cases = []
     for d, m, l in [(2, 1, 3), (3, 2, 2), (4, 1, 2), (3, 3, 0), (5, 2, 1)]:
@@ -261,6 +261,8 @@ def _clone_outputs_with_reference():
         cases.append((clone_pure(x, m, l), x))
     for j, l in [((1, 2, 0), 0), ((1, 0), 3), ((0, 0, 0), 2), ((2, 1, 1), 1), ((0, 3), 0)]:
         cases.append((clone_basis_state(j, l), PureQudit.random(len(j), rng)))
+    # Exact-zero amplitudes leave all-zero coefficient rows.
+    cases.append((clone_pure(PureQudit(np.array([1.0, 0.0, 0.0])), 2, 2), PureQudit.random(3, rng)))
     return cases
 
 
