@@ -2,11 +2,12 @@
 
 Library layout:
 
-* `fock`: occupation-vector bases and cloning coefficients
+* `fock`: occupation-vector bases and the cloning-coefficient table
 * `ladder`: tridiagonal emission-ladder Hamiltonian and time evolution
 * `cloner`: output states for basis, identical-pure and mixed inputs
 * `reduction`: partial traces, fidelities and closed-form references
-* `oracle`: brute-force full-Fock-space verifier
+* `oracle`: brute-force full-Fock-space verifier; derives the clone states
+  from the raw emission operator
 * `cli`: command-line interface (`stimclone ...`)
 """
 
@@ -14,7 +15,6 @@ from .fock import (
     MAX_FACTORIAL,
     OccupationVector,
     SectorBasis,
-    clone_amplitude,
     enumerate_sector,
     log_factorial,
 )
@@ -30,7 +30,6 @@ from .cloner import (
     CloneOutput,
     PureQudit,
     SymmetricDensity,
-    SymmetricState,
     clone_basis_state,
     clone_mixed,
     clone_pure,
@@ -62,7 +61,6 @@ __all__ = [
     "MAX_FACTORIAL",
     "OccupationVector",
     "SectorBasis",
-    "clone_amplitude",
     "enumerate_sector",
     "log_factorial",
     "EvolutionProfile",
@@ -74,7 +72,6 @@ __all__ = [
     "CloneOutput",
     "PureQudit",
     "SymmetricDensity",
-    "SymmetricState",
     "clone_basis_state",
     "clone_mixed",
     "clone_pure",

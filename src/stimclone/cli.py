@@ -111,7 +111,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_vf.add_argument("--json", action="store_true",
                       help="shorthand for --format json")
     p_vf.add_argument("--inject-perturbation", action="store_true",
-                      help="fault-injection hook: shift the references so every check fails")
+                      help="fault-injection hook: skew the reference coupling so the "
+                           "ladder_action, ladder_restriction and amplitude_match checks fail")
     add_io_flags(p_vf)
 
     return parser

@@ -61,31 +61,6 @@ class PureQudit:
 
 
 @dataclass(frozen=True)
-class SymmetricState:
-    """Pure state of `basis.total` identical bosons, amplitudes in canonical order."""
-
-    basis: SectorBasis
-    amplitudes: np.ndarray
-
-    def __post_init__(self):
-        amps = np.asarray(self.amplitudes, dtype=complex)
-        if amps.shape != (len(self.basis),):
-            raise ValueError(f"expected {len(self.basis)} amplitudes, got shape {amps.shape}")
-        object.__setattr__(self, "amplitudes", amps)
-
-    @property
-    def d(self) -> int:
-        return self.basis.d
-
-    @property
-    def total(self) -> int:
-        return self.basis.total
-
-    def density(self) -> "SymmetricDensity":
-        return SymmetricDensity(self.basis, np.outer(self.amplitudes, self.amplitudes.conj()))
-
-
-@dataclass(frozen=True)
 class SymmetricDensity:
     """Density operator on one fixed-total occupation sector.
 
@@ -196,8 +171,8 @@ def clone_basis_state(j, l: int) -> CloneOutput:
     return CloneOutput(j.d, j.total(), l, coefficients)
 
 
-def expand_identical(x: PureQudit, M: int) -> SymmetricState:
-    """Expand M identical copies of a pure qudit in the occupation basis.
+def expand_identical(x: PureQudit, M: int) -> np.ndarray:
+    """Amplitudes of M identical copies of a pure qudit, canonical (d, M) order.
 
     The coefficient on occupation vector j is sqrt(M! / prod_i j_i!) times
     prod_i x_i^{j_i}; the result is normalized.
@@ -205,14 +180,13 @@ def expand_identical(x: PureQudit, M: int) -> SymmetricState:
     if M < 1:
         raise ValueError(f"number of copies must be >= 1, got {M}")
     j = sector_array(x.d, M)
-    amps = np.exp(0.5 * log_multinomials(j)) * np.prod(x.x ** j, axis=1)
-    return SymmetricState(enumerate_sector(x.d, M), amps)
+    return np.exp(0.5 * log_multinomials(j)) * np.prod(x.x ** j, axis=1)
 
 
 def clone_pure(x: PureQudit, M: int, l: int) -> CloneOutput:
     """Clone M identical pure qudits, conditioned on l extra copies."""
     amp, _ = clone_coefficients(x.d, M, l)
-    c = expand_identical(x, M).amplitudes
+    c = expand_identical(x, M)
     return CloneOutput(x.d, M, l, c[:, None] * amp)
 
 

@@ -3,9 +3,10 @@
 A state of M identical d-level bosons is indexed by occupation vectors
 (j_1, ..., j_d) with sum M.  This module enumerates those bases in a fixed
 canonical order, ranks occupation vectors arithmetically within it, and
-provides the combinatorial coefficients that drive the cloning
-transformation, computed through log-factorials so that no factorial is ever
-formed in floating point.
+tabulates the cloning coefficients per (d, M, l) shape in
+`clone_coefficients`, the package's one implementation of the clone formula.
+Coefficients are computed through log-factorials so that no factorial is
+ever formed in floating point.
 """
 
 import math
@@ -157,47 +158,21 @@ def log_factorial(n: int) -> float:
     return _LOG_FACTORIAL_TABLE.item(n)
 
 
-def clone_amplitude(j, k) -> float:
-    """Coefficient of |j+k>_a |k>_b in the cloning output of basis input j.
-
-    With M = sum(j) and l = sum(k) the amplitude is
-
-        sqrt[(M+d-1)! l! / (M+l+d-1)!] * prod_i sqrt[(k_i+j_i)! / (k_i! j_i!)]
-
-    evaluated as exp of a log-factorial sum.  The value is non-negative, and
-    summing its square over all k of fixed total l gives 1 (the output states
-    are normalized).
-
-    Args:
-        j: occupation vector of the input state (total M).
-        k: occupation vector of the additionally emitted photons (total l).
-
-    Returns:
-        The real amplitude.
-    """
-    j = j if isinstance(j, OccupationVector) else OccupationVector(j)
-    k = k if isinstance(k, OccupationVector) else OccupationVector(k)
-    if len(j) != len(k):
-        raise ValueError(f"mode count mismatch: len(j)={len(j)}, len(k)={len(k)}")
-    d = len(j)
-    m = j.total()
-    l = k.total()
-    log_sq = log_factorial(m + d - 1) + log_factorial(l) - log_factorial(m + l + d - 1)
-    for ji, ki in zip(j, k):
-        log_sq += log_factorial(ki + ji) - log_factorial(ki) - log_factorial(ji)
-    return math.exp(0.5 * log_sq)
-
-
 @cache
 def clone_coefficients(d: int, M: int, l: int) -> tuple[np.ndarray, np.ndarray]:
     """Every clone amplitude of the (d, M) input sector with l extra copies.
 
     Returns read-only arrays (amp, a_index) of shape (|J|, |K|), where J is
-    the (d, M) sector and K the (d, l) sector, both in canonical order:
-    amp[j, k] equals `clone_amplitude(J[j], K[k])`, and a_index[j, k] is the
-    position of J[j] + K[k] in the (d, M+l) sector.  So basis input J[j]
-    clones to sum_k amp[j, k] |a_index[j, k]>_a |k>_b.  Cached per shape.
-    Raises ValueError before allocating when |J| x |K| > MAX_CLONE_ENTRIES.
+    the (d, M) sector and K the (d, l) sector, both in canonical order.  The
+    coefficient of |j+k>_a |k>_b in the clone of basis input j is
+
+        amp[j, k] = sqrt[(M+d-1)! l! / (M+l+d-1)!] * prod_i sqrt[(k_i+j_i)! / (k_i! j_i!)]
+
+    evaluated as exp of a log-factorial sum; it is non-negative and each row
+    has unit norm.  a_index[j, k] is the position of J[j] + K[k] in the
+    (d, M+l) sector, so basis input J[j] clones to
+    sum_k amp[j, k] |a_index[j, k]>_a |k>_b.  Cached per shape.  Raises
+    ValueError before allocating when |J| x |K| > MAX_CLONE_ENTRIES.
     """
     if d < 2:
         raise ValueError(f"qudit dimension must be >= 2, got {d}")

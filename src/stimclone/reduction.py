@@ -141,7 +141,7 @@ def fidelity_global(out: CloneOutput, x: PureQudit) -> float:
     """Overlap of the full L-copy output with L perfect copies of x."""
     if out.d != x.d:
         raise ValueError(f"dimension mismatch: output is {out.d}-level, qudit is {x.d}-level")
-    target = expand_identical(x, out.L).amplitudes
+    target = expand_identical(x, out.L)
     overlaps = np.sum(target[out.a_index].conj() * out.coefficients, axis=-2)
     return float(np.sum(np.abs(overlaps) ** 2))
 

@@ -254,7 +254,8 @@ def test_criterion_08_mixed_input_handling(criterion_log):
     rank1_dev = 0.0
     for d, m, l in [(2, 1, 1), (2, 2, 2), (3, 2, 1)]:
         x = PureQudit.random(d, rng)
-        dens = clone_mixed(expand_identical(x, m).density(), l)
+        c = expand_identical(x, m)
+        dens = clone_mixed(SymmetricDensity(enumerate_sector(d, m), np.outer(c, c.conj())), l)
         ref = clone_pure(x, m, l).to_density()
         rank1_dev = max(rank1_dev, float(np.max(np.abs(dens.to_density() - ref))))
 

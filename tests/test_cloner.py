@@ -81,9 +81,10 @@ def test_cloning_is_an_isometry_per_emission_sector():
 def test_expand_identical_basis_direction():
     x = PureQudit(np.array([1.0, 0.0, 0.0]))
     state = expand_identical(x, 3)
-    expected = np.zeros(len(state.basis), dtype=complex)
-    expected[state.basis.index((3, 0, 0))] = 1.0
-    assert np.max(np.abs(state.amplitudes - expected)) < 1e-15
+    basis = enumerate_sector(3, 3)
+    expected = np.zeros(len(basis), dtype=complex)
+    expected[basis.index((3, 0, 0))] = 1.0
+    assert np.max(np.abs(state - expected)) < 1e-15
 
 
 def test_expand_identical_balanced_qubit():
@@ -93,8 +94,9 @@ def test_expand_identical_balanced_qubit():
     assert oracle[(2, 0)] == pytest.approx(0.5, abs=1e-14)
     assert oracle[(1, 1)] == pytest.approx(1 / math.sqrt(2), abs=1e-14)
     state = expand_identical(PureQudit(x), 2)
+    basis = enumerate_sector(2, 2)
     for occ, value in oracle.items():
-        assert state.amplitudes[state.basis.index(occ)] == pytest.approx(value, abs=1e-12)
+        assert state[basis.index(occ)] == pytest.approx(value, abs=1e-12)
 
 
 def test_expand_identical_matches_first_quantized_expansion():
@@ -103,10 +105,11 @@ def test_expand_identical_matches_first_quantized_expansion():
         for m in (1, 2, 3, 4):
             x = PureQudit.random(d, rng)
             state = expand_identical(x, m)
+            basis = enumerate_sector(d, m)
             oracle = identical_expansion(x.x, m)
-            assert abs(np.vdot(state.amplitudes, state.amplitudes) - 1.0) < 1e-12
+            assert abs(np.vdot(state, state) - 1.0) < 1e-12
             for occ, value in oracle.items():
-                got = state.amplitudes[state.basis.index(occ)]
+                got = state[basis.index(occ)]
                 assert abs(got - value) < 1e-12
 
 
@@ -148,7 +151,8 @@ def test_clone_mixed_reduces_to_clone_pure_on_rank_one_inputs():
     rng = np.random.default_rng(23)
     for d, m, l in [(2, 1, 1), (2, 2, 2), (3, 2, 1)]:
         x = PureQudit.random(d, rng)
-        rho = expand_identical(x, m).density()
+        c = expand_identical(x, m)
+        rho = SymmetricDensity(enumerate_sector(d, m), np.outer(c, c.conj()))
         dens = clone_mixed(rho, l)
         ref = clone_pure(x, m, l).to_density()
         assert np.max(np.abs(dens.to_density() - ref)) < 1e-12

@@ -10,7 +10,6 @@ from stimclone.fock import (
     MAX_CLONE_ENTRIES,
     MAX_FACTORIAL,
     OccupationVector,
-    clone_amplitude,
     clone_coefficients,
     enumerate_sector,
     log_factorial,
@@ -124,15 +123,18 @@ def test_clone_amplitude_single_photon_values():
     # Exact-rational oracle gives 2/3 and 1/3 for the two emission channels.
     assert amplitude_squared((1, 0), (1, 0)) == Fraction(2, 3)
     assert amplitude_squared((1, 0), (0, 1)) == Fraction(1, 3)
-    assert clone_amplitude((1, 0), (1, 0)) == pytest.approx(math.sqrt(2 / 3), abs=1e-14)
-    assert clone_amplitude((1, 0), (0, 1)) == pytest.approx(math.sqrt(1 / 3), abs=1e-14)
+    amp, _ = clone_coefficients(2, 1, 1)
+    row = rank((1, 0))
+    assert amp[row, rank((1, 0))] == pytest.approx(math.sqrt(2 / 3), abs=1e-14)
+    assert amp[row, rank((0, 1))] == pytest.approx(math.sqrt(1 / 3), abs=1e-14)
 
 
 def test_clone_amplitude_without_emission_is_one():
     for d in (2, 3, 4):
         for m in (0, 1, 3):
-            j = (m,) + (0,) * (d - 1)
-            assert clone_amplitude(j, (0,) * d) == 1.0
+            amp, _ = clone_coefficients(d, m, 0)
+            assert amp.shape == (len(enumerate_sector(d, m)), 1)
+            assert np.all(amp == 1.0)
 
 
 @pytest.mark.parametrize("d", [2, 3, 4])
@@ -140,13 +142,13 @@ def test_clone_amplitude_normalization(d):
     # Squared amplitudes over one emission sector sum to exactly 1 (rational
     # oracle) and to 1 within 1e-12 in floating point.
     for m in range(5):
-        for j in enumerate_sector(d, m):
-            for l in range(5):
-                ks = enumerate_sector(d, l)
+        for l in range(5):
+            amp, _ = clone_coefficients(d, m, l)
+            ks = enumerate_sector(d, l)
+            for j in enumerate_sector(d, m):
                 exact = sum(amplitude_squared(j, k) for k in ks)
                 assert exact == 1
-                total = sum(clone_amplitude(j, k) ** 2 for k in ks)
-                assert abs(total - 1.0) < 1e-12
+                assert abs(np.sum(amp[rank(j)] ** 2) - 1.0) < 1e-12
 
 
 def test_clone_amplitude_mode_permutation_symmetry():
@@ -155,15 +157,11 @@ def test_clone_amplitude_mode_permutation_symmetry():
         d = int(rng.integers(2, 5))
         j = tuple(int(v) for v in rng.integers(0, 3, size=d))
         k = tuple(int(v) for v in rng.integers(0, 3, size=d))
+        amp, _ = clone_coefficients(d, sum(j), sum(k))
         for perm in permutations(range(d)):
             jp = tuple(j[p] for p in perm)
             kp = tuple(k[p] for p in perm)
-            assert clone_amplitude(jp, kp) == pytest.approx(clone_amplitude(j, k), abs=1e-12)
-
-
-def test_clone_amplitude_rejects_mismatched_lengths():
-    with pytest.raises(ValueError):
-        clone_amplitude((1, 0), (1, 0, 0))
+            assert amp[rank(jp), rank(kp)] == pytest.approx(amp[rank(j), rank(k)], abs=1e-12)
 
 
 def test_clone_coefficients_match_scalar_amplitudes():
@@ -176,7 +174,7 @@ def test_clone_coefficients_match_scalar_amplitudes():
                 assert amp.shape == a_index.shape == (len(js), len(ks))
                 for p, j in enumerate(js):
                     for q, k in enumerate(ks):
-                        assert abs(amp[p, q] - clone_amplitude(j, k)) <= 1e-14
+                        assert abs(amp[p, q] - math.sqrt(amplitude_squared(j, k))) <= 1e-14
                         assert a_basis[a_index[p, q]] == tuple(a + b for a, b in zip(j, k))
 
 

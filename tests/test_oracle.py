@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from stimclone.fock import enumerate_sector
+from stimclone import oracle
+from stimclone.fock import clone_coefficients, enumerate_sector, rank
 from stimclone.ladder import ladder_matrix
 from stimclone.oracle import (
     build_full_hamiltonian,
@@ -79,7 +80,7 @@ def test_verify_ladder_single_atom_boundary_row():
     by_name = {c["name"]: c for c in report["checks"]}
     assert by_name["ladder_action"]["max_deviation"] < 1e-12
     assert by_name["off_ladder_residual"]["max_deviation"] < 1e-12
-    assert by_name["embedding_orthonormality"]["max_deviation"] < 1e-12
+    assert by_name["clone_table_match"]["max_deviation"] < 1e-12
     assert by_name["ladder_restriction"]["max_deviation"] < 1e-12
 
 
@@ -160,3 +161,41 @@ def test_ladder_restriction_matches_ladder_matrix_on_desk_grid():
         restricted = embedded.T @ h @ embedded
         reference = ladder_matrix(d, n, sum(j), 1.0).matrix()
         assert np.max(np.abs(restricted - reference)) < 1e-12
+
+
+def test_embedded_clone_states_match_clone_table_rows():
+    # F_l = A^dag^l |j, 0, N>, normalized, must be row j of the clone table
+    # for l, placed on the configurations (j+k, k, N-l).
+    worst = 0.0
+    for d, n_max in [(2, 4), (3, 4), (4, 4), (5, 3), (6, 3)]:
+        for n in range(1, n_max + 1):
+            for m in range(4):
+                for j in enumerate_sector(d, m):
+                    basis = full_sector_basis(d, n, j)
+                    for l in range(n + 1):
+                        row = clone_coefficients(d, m, l)[0][rank(j)]
+                        expected = np.zeros(len(basis))
+                        for q, k in enumerate(enumerate_sector(d, l)):
+                            a = tuple(ji + ki for ji, ki in zip(j, k))
+                            expected[basis.index(a, k, n - l)] = row[q]
+                        dev = np.max(np.abs(embed_clone_state(basis, l) - expected))
+                        worst = max(worst, float(dev))
+    assert worst <= 1e-14
+
+
+def test_verify_ladder_rejects_a_skewed_clone_table(monkeypatch):
+    # Negative control: one clone amplitude scaled by 1 + 1e-6 must fail
+    # clone_table_match, and only that check.
+    table = oracle.clone_coefficients
+
+    def skewed(d, M, l):
+        amp, a_index = table(d, M, l)
+        if l == 1:
+            amp = amp.copy()
+            amp[0, 0] *= 1 + 1e-6
+        return amp, a_index
+
+    monkeypatch.setattr(oracle, "clone_coefficients", skewed)
+    report = verify_ladder(2, 2, (1, 0))
+    assert report["pass"] is False
+    assert {c["name"] for c in report["checks"] if not c["pass"]} == {"clone_table_match"}

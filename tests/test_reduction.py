@@ -50,7 +50,7 @@ def test_trace_out_b_without_emission_is_projector():
     x = PureQudit.random(3, rng)
     state = expand_identical(x, 2)
     rho = trace_out_b(clone_pure(x, 2, 0))
-    ref = np.outer(state.amplitudes, state.amplitudes.conj())
+    ref = np.outer(state, state.conj())
     assert np.max(np.abs(rho.matrix - ref)) < 1e-12
 
 
@@ -100,7 +100,8 @@ def test_reduce_to_single_single_boson_orientation():
     # mode ordering.
     rng = np.random.default_rng(34)
     x = PureQudit.random(3, rng)
-    rho = expand_identical(x, 1).density()
+    c = expand_identical(x, 1)
+    rho = SymmetricDensity(enumerate_sector(3, 1), np.outer(c, c.conj()))
     single = reduce_to_single(rho)
     assert np.max(np.abs(single.matrix - np.outer(x.x, x.x.conj()))) < 1e-12
 
@@ -275,7 +276,7 @@ def test_reduce_to_single_from_coefficients_matches_dense_route():
 
 def test_fidelity_global_from_coefficients_matches_dense_overlap():
     for out, x in _clone_outputs_with_reference():
-        target = expand_identical(x, out.L).amplitudes
+        target = expand_identical(x, out.L)
         psi = out.amplitudes
         dense = np.vdot(target, psi @ (psi.conj().T @ target)).real
         assert abs(fidelity_global(out, x) - dense) < 1e-13
@@ -329,7 +330,7 @@ def test_fidelity_global_of_mixed_clone_matches_dense_overlap():
     for rho, l in _mixed_inputs():
         out = clone_mixed(rho, l)
         x = PureQudit.random(out.d, rng)
-        target = expand_identical(x, out.L).amplitudes
+        target = expand_identical(x, out.L)
         dense = np.vdot(target, _dense_a_density(out) @ target).real
         assert abs(fidelity_global(out, x) - dense) < 1e-13
 
