@@ -102,31 +102,26 @@ class SymmetricDensity:
 
 @dataclass(frozen=True)
 class CloneOutput:
-    """Joint output conditioned on l extra copies, kept as clone coefficients.
+    """Joint output conditioned on l extra copies, stored as its input coefficients.
 
-    An input sum_j c_j |J[j]> of M photons clones to
-    sum_{j,k} coefficients[j, k] |a_basis[a_index[j, k]]>_a |b_basis[k]>_b,
-    with coefficients[j, k] = c_j amp[j, k] and (amp, a_index) from
-    `fock.clone_coefficients(d, M, l)`; J is the (d, M) input sector.  For
-    each k the map j -> a_index[j, k] is one-to-one, so these |J| x |K|
-    entries are all the nonzeros the joint state can have.  Only the
-    coefficients are stored: `a_basis`, `b_basis` and `a_index` follow from
-    (d, M, l) and are read from the cached sectors and clone map.
+    An input sum_j c_j |J[j]> of the (d, M) sector J clones to
+    sum_{j,k} c_j amp[j, k] |a_basis[a_index[j, k]]>_a |b_basis[k]>_b, with
+    (amp, a_index) the cached `fock.clone_coefficients(d, M, l)`.  Only c is
+    stored, as `inputs`.  `coefficients[..., j, k] = c_j amp[j, k]` holds all
+    the nonzeros (j -> a_index[j, k] is one-to-one for each k); it, `a_basis`,
+    `b_basis` and `a_index` are read from the cached tables on access.
 
-    A mixed output carries one leading component axis: coefficients[i] is the
-    pure clone of sqrt(p_i) v_i for the eigenpairs (p_i, v_i) of the input,
-    and the joint density is the sum of the components' projectors.  Pure and
-    basis outputs have 2-d coefficients.
-
-    `amplitudes[..., p, q]` is the dense view: the coefficient of
-    a-occupation `a_basis[p]` (total M+l) with b-occupation `b_basis[q]`
-    (total l), per component.  It is formed on first access only.
+    A mixed output has one leading component axis: inputs[i] = sqrt(p_i) v_i
+    for the eigenpairs (p_i, v_i) of the input, and the joint density is the
+    sum of the components' projectors.  `amplitudes[..., p, q]` is the dense
+    view, the coefficient of |a_basis[p]>_a |b_basis[q]>_b, formed on first
+    access only.
     """
 
     d: int
     M: int
     l: int
-    coefficients: np.ndarray
+    inputs: np.ndarray
 
     @property
     def L(self) -> int:
@@ -144,10 +139,14 @@ class CloneOutput:
     def a_index(self) -> np.ndarray:
         return clone_coefficients(self.d, self.M, self.l)[1]
 
+    @property
+    def coefficients(self) -> np.ndarray:
+        return self.inputs[..., None] * clone_coefficients(self.d, self.M, self.l)[0]
+
     @cached_property
     def amplitudes(self) -> np.ndarray:
-        shape = self.coefficients.shape[:-2] + (len(self.a_basis), len(self.b_basis))
-        amps = np.zeros(shape, dtype=self.coefficients.dtype)
+        shape = self.inputs.shape[:-1] + (len(self.a_basis), len(self.b_basis))
+        amps = np.zeros(shape, dtype=np.result_type(self.inputs, float))
         amps[..., self.a_index, np.arange(len(self.b_basis))] = self.coefficients
         return amps
 
@@ -165,10 +164,9 @@ def clone_basis_state(j, l: int) -> CloneOutput:
     """
     j = j if isinstance(j, OccupationVector) else OccupationVector(j)
     amp, _ = clone_coefficients(j.d, j.total(), l)
-    row = rank(j)
-    coefficients = np.zeros_like(amp)
-    coefficients[row] = amp[row]
-    return CloneOutput(j.d, j.total(), l, coefficients)
+    c = np.zeros(len(amp))
+    c[rank(j)] = 1.0
+    return CloneOutput(j.d, j.total(), l, c)
 
 
 def expand_identical(x: PureQudit, M: int) -> np.ndarray:
@@ -185,9 +183,8 @@ def expand_identical(x: PureQudit, M: int) -> np.ndarray:
 
 def clone_pure(x: PureQudit, M: int, l: int) -> CloneOutput:
     """Clone M identical pure qudits, conditioned on l extra copies."""
-    amp, _ = clone_coefficients(x.d, M, l)
-    c = expand_identical(x, M)
-    return CloneOutput(x.d, M, l, c[:, None] * amp)
+    clone_coefficients(x.d, M, l)  # rejects an oversized shape before any work
+    return CloneOutput(x.d, M, l, expand_identical(x, M))
 
 
 def clone_mixed(rho: SymmetricDensity, l: int) -> CloneOutput:
@@ -195,16 +192,16 @@ def clone_mixed(rho: SymmetricDensity, l: int) -> CloneOutput:
 
     The cloner is linear, so rho = sum_i p_i |v_i><v_i| clones to the
     mixture of the pure clones of its eigenvectors: one output component
-    sqrt(p_i) v_i[j] amp[j, k] per nonzero eigenvalue.  Eigenvalues below
+    with inputs sqrt(p_i) v_i per nonzero eigenvalue.  Eigenvalues below
     -PSD_TOLERANCE are rejected; the rest below the round-off cutoff are
     dropped and the kept ones renormalized.  Rank-1 inputs reproduce the
     pure-state clone up to a global phase.
     """
-    amp, _ = clone_coefficients(rho.d, rho.total, l)
+    clone_coefficients(rho.d, rho.total, l)  # rejects an oversized shape before any work
     evals, evecs = np.linalg.eigh(rho.matrix)
     if evals.min() < -PSD_TOLERANCE:
         raise ValueError(f"density matrix has negative eigenvalue {evals.min()!r}")
     # Eigenvalues below the numerical-rank cutoff (as in matrix_rank) are round-off.
     keep = evals > len(evals) * np.finfo(float).eps * evals.max()
     components = np.sqrt(evals[keep] / evals[keep].sum()) * evecs[:, keep]  # sqrt(p_i) v_i
-    return CloneOutput(rho.d, rho.total, l, components.T[:, :, None] * amp)
+    return CloneOutput(rho.d, rho.total, l, components.T)

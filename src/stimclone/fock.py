@@ -34,14 +34,17 @@ class OccupationVector(tuple):
     """Photon counts per mode, one entry per level of the qudit.
 
     Immutable and hashable; compares equal to a plain tuple with the same
-    entries.  The number of modes must be at least 2 and every count
-    non-negative.
+    entries.  The number of modes must be at least 2 and every count a
+    non-negative integer (ints, numpy ints and integral floats are accepted).
     """
 
     __slots__ = ()
 
     def __new__(cls, counts):
+        counts = tuple(counts)
         vec = super().__new__(cls, (int(n) for n in counts))
+        if vec != counts:
+            raise ValueError(f"occupation numbers must be integers, got {counts}")
         if len(vec) < 2:
             raise ValueError(f"occupation vector needs at least 2 modes, got {len(vec)}")
         if any(n < 0 for n in vec):

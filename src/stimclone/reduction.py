@@ -5,19 +5,29 @@ marginal of an L-boson sector density is read off transition-operator
 expectations, rho_1[r, s] = Tr(rho_L a_s^dag a_r) / L, which keeps every cost
 polynomial in the sector size.
 
-A clone output is reduced straight from its clone coefficients
-B[j, k] = c_j amp(j, k), the coefficient of |j+k>_a |k>_b: with n = j+k and
-j' = j - e_r + e_s in the input sector,
+A clone output sum_{j,k} c_j amp[j, k] |j+k>_a |k>_b, with amp the table of
+`fock.clone_coefficients` and k in the (d, l) sector K, is reduced from that
+table and the entries rho_in[j, j'] = c_j conj(c_j') of its input density,
+read only where the formula needs them.  With n = j + k and j' = j - e_r + e_s
+the clone formula gives
 
-    rho_1[r, s] = (1/L) sum_{j,k} B[j, k] conj(B[j', k]) sqrt(n_r (n_s + 1)),
+    amp[j', k] / amp[j, k] = sqrt(j_r (n_s + 1) / (n_r (j_s + 1))),
 
-and the L-copy fidelity is sum_k |sum_j conj(t_{j+k}) B[j, k]|^2 for the
-target amplitudes t.  A mixed output is a stack of such components, one per
-eigenvector of its input, and both sums also run over the component axis.
-Both touch only the |J| x |K| nonzeros of each component, so none of the
-dense amplitude matrix, the a x a density and the (ab) x (ab) joint density
-is ever formed.  `trace_out_b` forms the a x a density for callers that want
-it.
+so each a_s^dag a_r term amp[j, k] amp[j', k] sqrt(n_r (n_s + 1)) is
+amp[j, k]^2 sqrt(j_r / (j_s + 1)) (n_s + 1).  The rows of amp^2 sum to 1, so
+the sum over k needs only emitted = (amp * amp) @ K, the mean number of
+photons emitted into each mode:
+
+    rho_1[r, r] = sum_j rho_in[j, j] (j_r + emitted[j, r]) / L,
+    rho_1[r, s] = sum_j rho_in[j, j'] sqrt(j_r / (j_s + 1)) (j_s + 1 + emitted[j, s]) / L.
+
+A density of L bosons is the M = L case with emitted = 0.  Both sums run in
+one pass over the flat table of `_hops`.  The L-copy
+fidelity is sum_k |sum_j conj(t_{j+k}) c_j amp[j, k]|^2 for the target
+amplitudes t.  A mixed output stacks one c per eigenvector of its input, and
+both sums also run over that axis.  Neither forms the dense amplitude matrix
+or a density of the a or ab registers; `trace_out_b` forms the a x a density
+for callers that want it.
 """
 
 import math
@@ -28,7 +38,7 @@ from functools import cache
 import numpy as np
 
 from .cloner import CloneOutput, PureQudit, SymmetricDensity, expand_identical
-from .fock import rank, sector_array
+from .fock import clone_coefficients, rank, sector_array
 
 
 @dataclass(frozen=True)
@@ -70,64 +80,47 @@ def trace_out_b(out: CloneOutput) -> SymmetricDensity:
 
 @cache
 def _hops(d: int, total: int) -> tuple:
-    """(r, s, src, dst, n_r, n_s + 1) for every r != s over the (d, total) sector.
+    """Every term of the operators a_s^dag a_r on the (d, total) sector, as flat arrays.
 
-    src holds the rows of the vectors n with n_r > 0 and dst the rows of
-    n - e_r + e_s, in canonical order; n_r and n_s + 1 are columns over src.
+    Returns (rs, s, src, dst, root, ratio): term t takes the vector n in row
+    src[t] to n - e_r + e_s in row dst[t], with rs = r d + s.  For r != s
+    (rows with n_r > 0) root = sqrt(n_r (n_s + 1)) and ratio = sqrt(n_r / (n_s + 1));
+    for r = s (every row) root = n_r and ratio = 1.
     """
     vectors = sector_array(d, total)
-    hops = []
-    for r in range(d):
-        src = np.flatnonzero(vectors[:, r])
-        for s in range(d):
-            if s != r:
-                shifted = vectors[src]  # a fresh copy: fancy indexing
-                shifted[:, r] -= 1
-                shifted[:, s] += 1
-                hops.append((r, s, src, rank(shifted), vectors[src, r, None],
-                             vectors[src, s, None] + 1))
-    return tuple(hops)
+    src, r, s = np.nonzero((vectors[:, :, None] > 0) | np.eye(d, dtype=bool))
+    n_r, n_s1 = vectors[src, r], vectors[src, s] + 1
+    shifted = vectors[src]  # a fresh copy: fancy indexing
+    shifted[np.arange(len(src)), r] -= 1
+    shifted[np.arange(len(src)), s] += 1
+    root = np.where(r == s, n_r, np.sqrt(n_r * n_s1))
+    ratio = np.where(r == s, 1.0, np.sqrt(n_r / n_s1))
+    return r * d + s, s, src, rank(shifted), root, ratio
 
 
 def reduce_to_single(rho_L: SymmetricDensity | CloneOutput) -> SingleQuditDensity:
     """One-qudit marginal of an L-boson symmetric density or of a clone output.
 
-    rho_1[r, s] = Tr(rho_L a_s^dag a_r) / L.  The matrix element of
-    a_s^dag a_r between occupation vectors n and n - e_r + e_s is
-    sqrt(n_r (n_s + 1 - delta_rs)).  A `CloneOutput` is reduced from its
-    clone coefficients (see the module docstring).  A `SymmetricDensity` of
-    L bosons is the M = L, l = 0 case (K is the vacuum alone); only the weight
-    of a (src, dst) pair of input rows differs: sum_{i,k} B[i, src, k]
-    conj(B[i, dst, k]) for a clone output, rho_L[src, dst] for a density.
-    All-zero coefficient rows add nothing and are skipped; density rows are
-    all kept, because a density is not checked for positivity.
+    rho_1[r, s] = Tr(rho_L a_s^dag a_r) / L by the formula of the module
+    docstring.  A density has no emitted photons, so it needs no clone table
+    and may have any total.
     """
-    d = rho_L.d
-    cloned = isinstance(rho_L, CloneOutput)
-    if cloned:
-        M, l, b = rho_L.M, rho_L.l, rho_L.coefficients
-        b = b.reshape(-1, *b.shape[-2:])
-        weights, live = np.sum(np.abs(b) ** 2, axis=0), np.any(b, axis=(0, 2))
-    else:
-        M, l, matrix = rho_L.total, 0, rho_L.matrix
-        weights = np.diagonal(matrix)[:, None]
-    L = M + l
+    d, cloned = rho_L.d, isinstance(rho_L, CloneOutput)
+    M, L = (rho_L.M, rho_L.L) if cloned else (rho_L.total, rho_L.total)
     if L < 1:
         raise ValueError("single-qudit reduction needs at least one boson")
-    j, k = sector_array(d, M), sector_array(d, l)
-    rho1 = np.zeros((d, d), dtype=complex)
-    rho1[np.diag_indices(d)] = j.T @ weights.sum(axis=1) + k.T @ weights.sum(axis=0)
-    for r, s, src, dst, j_r, j_s1 in _hops(d, M):
-        if cloned:
-            keep = live[src] & live[dst]
-            src, dst, j_r, j_s1 = src[keep], dst[keep], j_r[keep], j_s1[keep]
-            pair = (b[:, src] * b[:, dst].conj()).sum(axis=0)
-        else:
-            pair = matrix[src, dst][:, None]
-        rho1[r, s] = (pair * np.sqrt((j_r + k[:, r]) * (j_s1 + k[:, s]))).sum()
-    rho1 /= L
-    rho1 = 0.5 * (rho1 + rho1.conj().T)
-    return SingleQuditDensity(rho1)
+    rs, s, src, dst, root, ratio = _hops(d, M)
+    if cloned:
+        c = rho_L.inputs.reshape(-1, rho_L.inputs.shape[-1])
+        rho_in = (c[:, src] * c[:, dst].conj()).sum(axis=0)
+        amp = clone_coefficients(d, M, rho_L.l)[0]
+        emitted = (amp * amp) @ sector_array(d, rho_L.l)
+    else:
+        rho_in, emitted = rho_L.matrix[src, dst], np.zeros((len(rho_L.basis), d))
+    terms = rho_in * (root + ratio * emitted[src, s])
+    rho1 = np.bincount(rs, terms.real, d * d) + 1j * np.bincount(rs, terms.imag, d * d)
+    rho1 = rho1.reshape(d, d) / L
+    return SingleQuditDensity(0.5 * (rho1 + rho1.conj().T))
 
 
 def fidelity_single(rho1: SingleQuditDensity, x: PureQudit) -> float:

@@ -10,7 +10,7 @@ import time
 import numpy as np
 import pytest
 
-from stimclone.cli import main
+from stimclone.cli import MAX_VERIFY_SAMPLES, main
 from stimclone.cloner import CloneOutput, PureQudit, clone_basis_state, clone_pure
 from stimclone.fock import MAX_CLONE_ENTRIES, enumerate_sector
 from stimclone.ladder import MAX_LADDER_ATOMS
@@ -341,6 +341,15 @@ def test_evolve_rejects_oversized_ladder(capsys):
     assert exc.value.code == 2
     assert time.perf_counter() - start < 0.5
     assert str(MAX_LADDER_ATOMS) in capsys.readouterr().err
+
+
+def test_verify_rejects_too_many_samples_at_once(capsys):
+    start = time.perf_counter()
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--samples", str(MAX_VERIFY_SAMPLES + 1)])
+    assert exc.value.code == 2
+    assert time.perf_counter() - start < 0.5
+    assert str(MAX_VERIFY_SAMPLES) in capsys.readouterr().err
 
 
 def test_evolve_usage_errors(capsys):

@@ -3,6 +3,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stimclone.cloner import (
     PureQudit,
@@ -64,6 +66,23 @@ def test_clone_output_norm_and_photon_conservation(d, m, l):
                 if out.amplitudes[p, q] != 0.0:
                     diff = tuple(a - b for a, b in zip(a_vec, b_vec))
                     assert diff == tuple(j)
+
+
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(d=st.integers(2, 5), m=st.integers(1, 3), l=st.integers(0, 3),
+       seed=st.integers(0, 2**32 - 1))
+def test_clone_outputs_store_inputs_and_have_unit_norm(d, m, l, seed):
+    rng = np.random.default_rng(seed)
+    basis = enumerate_sector(d, m)
+    rank = int(rng.integers(1, len(basis) + 1))
+    rho = SymmetricDensity(basis, random_density(len(basis), rank, rng))
+    outs = (clone_basis_state(basis[int(rng.integers(len(basis)))], l),
+            clone_pure(PureQudit.random(d, rng), m, l),
+            clone_mixed(rho, l))
+    assert [out.inputs.shape for out in outs] == [(len(basis),), (len(basis),), (rank, len(basis))]
+    for out in outs:
+        assert out.coefficients.shape[-2:] == (len(basis), math.comb(l + d - 1, d - 1))
+        assert abs(np.linalg.norm(out.coefficients) - 1.0) < 1e-12
 
 
 def test_cloning_is_an_isometry_per_emission_sector():

@@ -6,6 +6,7 @@ from itertools import permutations
 import numpy as np
 import pytest
 
+from stimclone.cloner import clone_basis_state
 from stimclone.fock import (
     MAX_CLONE_ENTRIES,
     MAX_FACTORIAL,
@@ -29,6 +30,17 @@ def test_occupation_vector_basics():
         OccupationVector((3,))
     with pytest.raises(ValueError):
         OccupationVector((1, -1))
+
+
+def test_occupation_vector_rejects_non_integral_counts():
+    assert OccupationVector((np.int64(2), 1.0, np.float64(0.0))) == (2, 1, 0)
+    assert OccupationVector(np.array([3, 1])) == (3, 1)
+    for counts in ((1.9, 0), (0, 0.5), (np.float64(2.5), 1), ("1", 0)):
+        with pytest.raises(ValueError, match="integers"):
+            OccupationVector(counts)
+    # The cloner rejects it as well, rather than cloning the truncation (1, 0).
+    with pytest.raises(ValueError):
+        clone_basis_state((1.9, 0), 1)
 
 
 def test_enumerate_empty_sector():

@@ -14,7 +14,7 @@ from stimclone.cloner import (
     clone_pure,
     expand_identical,
 )
-from stimclone.fock import enumerate_sector
+from stimclone.fock import MAX_FACTORIAL, enumerate_sector, sector_array
 from stimclone.reduction import (
     ShrinkingFit,
     SingleQuditDensity,
@@ -93,6 +93,42 @@ def test_reduce_to_single_of_maximally_mixed_sector():
         rho = SymmetricDensity.maximally_mixed(d, total)
         single = reduce_to_single(rho)
         assert np.max(np.abs(single.matrix - np.eye(d) / d)) < 1e-12
+
+
+def test_reduce_to_single_of_density_needs_no_clone_table():
+    # A density is reduced with no emitted photons, so its total may exceed
+    # what the factorial table of the clone formula admits.
+    assert 250 > MAX_FACTORIAL
+    single = reduce_to_single(SymmetricDensity.maximally_mixed(2, 250))
+    assert np.max(np.abs(single.matrix - np.eye(2) / 2)) < 1e-12
+
+
+def test_basis_clone_marginal_matches_stimulated_emission_closed_form():
+    # Each of the l photons enters mode i with probability (j_i + 1) / (M + d), so
+    # L rho_1 is diagonal with the input counts plus the mean emitted counts.
+    for d in range(2, 7):
+        for m in range(5):
+            for l in range(0 if m else 1, 6):
+                for j in sector_array(d, m):
+                    expected = np.diag(j + l * (j + 1) / (m + d))
+                    got = (m + l) * reduce_to_single(clone_basis_state(j, l)).matrix
+                    assert np.max(np.abs(got - expected)) < 1e-13
+
+
+def _unitary(d, rng):
+    z = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    return np.linalg.qr(z)[0]
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(d=st.integers(2, 6), m=st.integers(1, 3), l=st.integers(0, 4),
+       seed=st.integers(0, 2**32 - 1))
+def test_one_copy_marginal_is_unitarily_covariant(d, m, l, seed):
+    rng = np.random.default_rng(seed)
+    x, u = PureQudit.random(d, rng), _unitary(d, rng)
+    rotated = reduce_to_single(clone_pure(PureQudit(u @ x.x), m, l)).matrix
+    expected = u @ reduce_to_single(clone_pure(x, m, l)).matrix @ u.conj().T
+    assert np.max(np.abs(rotated - expected)) < 1e-12
 
 
 def test_reduce_to_single_single_boson_orientation():
