@@ -1,23 +1,26 @@
 """Command-line interface: fidelity tables, evolution profiles, cloning runs,
 and oracle verification, with csv/json output.
 
-Machine output (csv or json) goes to stdout, or to --out PATH with a short
-human-readable table (6 significant digits) echoed to stdout.  Machine
-formats always carry full round-trip precision.  All sampling is driven by
---seed (default printed to stderr), so identical flags produce identical
-bytes.  Exit codes: 0 success, 1 check failure, 2 usage error.
+Each command computes through the library and builds its records once: the
+row dicts its json embeds, or for `clone` only the form its output needs.
+`_emit` writes them: machine output (csv or json) goes to stdout, or to
+--out PATH with a short human-readable table (6 significant digits) echoed
+to stdout.  Machine formats always carry full round-trip precision.  All
+sampling is driven by --seed (default printed to stderr), so identical flags
+produce identical bytes.  Exit codes: 0 success, 1 check failure, 2 usage
+error, which covers every ValueError of the library, inputs above a declared
+bound and an --out path that cannot be written.
 """
 
 import argparse
 import csv
-import io
 import json
 import sys
 
 import numpy as np
 
 from .cloner import PureQudit, clone_basis_state, clone_pure
-from .fock import OccupationVector, clone_coefficients, enumerate_sector, sector_array
+from .fock import OccupationVector, enumerate_sector, sector_array
 from .ladder import MAX_LADDER_ATOMS, emission_probabilities, ladder_matrix
 from .oracle import verify_evolution, verify_ladder
 from .reduction import (
@@ -40,6 +43,11 @@ PERTURBATION_SIZE = 1e-6
 # Largest --samples: `verify --samples 10000 --json` took 5.2 s and peaked at
 # 88 MB on a 2-vCPU VM (about 0.5 ms and 3 KB of report per draw).
 MAX_VERIFY_SAMPLES = 10_000
+# Largest number of amplitude records `clone` lists.  json output costs about
+# 2.8 KB per record at d = 6: `clone --j 1,0,0,0,0,0 --l 25 --format json`
+# (142,506 records) peaked at 435 MB on a 2-vCPU VM, csv at 167 MB.  A record
+# lists 2d occupation numbers, so above d = 6 the bound shrinks by 6/d.
+MAX_CLONE_RECORDS = 155_000
 
 
 def _parse_occupation(text: str) -> OccupationVector:
@@ -55,8 +63,6 @@ def _parse_qudit(text: str) -> np.ndarray:
         parts = [complex(part.strip().replace("i", "j")) for part in text.split(",")]
     except ValueError:
         raise argparse.ArgumentTypeError(f"bad qudit amplitudes {text!r}")
-    if len(parts) < 2:
-        raise argparse.ArgumentTypeError("a qudit needs at least 2 amplitudes")
     values = np.asarray(parts, dtype=complex)
     if not np.all(np.isfinite(values)):
         raise argparse.ArgumentTypeError("qudit amplitudes must be finite")
@@ -84,6 +90,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_fid.add_argument("--seed", type=int, default=DEFAULT_SEED,
                        help="seed for the sampled pure input state")
     add_io_flags(p_fid)
+    p_fid.set_defaults(run=cmd_fidelity)
 
     p_ev = sub.add_parser("evolve", help="emission probabilities |f_l(tau)|^2")
     p_ev.add_argument("--d", type=int, required=True, help="qudit dimension (>= 2)")
@@ -93,6 +100,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_ev.add_argument("--tau", type=float, required=True,
                       help="dimensionless time gamma*t")
     add_io_flags(p_ev)
+    p_ev.set_defaults(run=cmd_evolve)
 
     p_cl = sub.add_parser("clone", help="joint output amplitudes plus one-copy reduction")
     p_cl.add_argument("--d", type=int, default=None,
@@ -105,6 +113,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_cl.add_argument("--m", type=int, default=None, help="copy number M (required with --x)")
     p_cl.add_argument("--l", type=int, required=True, help="number of additional copies (>= 0)")
     add_io_flags(p_cl)
+    p_cl.set_defaults(run=cmd_clone)
 
     p_vf = sub.add_parser("verify", help="run the brute-force oracle suite")
     p_vf.add_argument("--seed", type=int, default=DEFAULT_SEED,
@@ -118,39 +127,35 @@ def build_parser() -> argparse.ArgumentParser:
                       help="fault-injection hook: skew the reference coupling so the "
                            "ladder_action, ladder_restriction and amplitude_match checks fail")
     add_io_flags(p_vf)
+    p_vf.set_defaults(run=cmd_verify)
 
     return parser
 
 
-def _fmt(value) -> str:
-    """Full-precision text for machine formats; repr round-trips floats."""
-    if isinstance(value, float):
-        return repr(float(value))
-    return "" if value is None else str(value)
+def _emit(args, header, rows, document, human=None) -> None:
+    """Write `document` as json, or `header` and `rows` as csv, to stdout or --out PATH.
 
+    Rows are dicts with values in header order, or sequences; csv.writer writes
+    a float as its repr and None as an empty cell.  With --out, stdout gets
+    `human` (default: a 6-digit table of the rows).
+    """
+    rows = [row.values() if isinstance(row, dict) else row for row in rows or ()]
 
-def _csv_text(header, rows) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    for row in rows:
-        writer.writerow([_fmt(v) for v in row])
-    return buf.getvalue()
+    def write(fh):
+        if args.format == "json":
+            print(json.dumps(document, indent=2), file=fh)
+        else:
+            csv.writer(fh, lineterminator="\n").writerows([header, *rows])
 
-
-def _emit(args, header, rows, json_obj, human_lines=None) -> None:
-    """Write the machine output; with --out, also print `human_lines` (default: a table of rows)."""
-    if args.format == "csv":
-        machine = _csv_text(header, rows)
-    else:
-        machine = json.dumps(json_obj, indent=2) + "\n"
-    if args.out:
+    if not args.out:
+        return write(sys.stdout)
+    try:
         with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(machine)
-        for line in human_lines or _human_table(header, rows):
-            print(line)
-    else:
-        sys.stdout.write(machine)
+            write(fh)
+    except OSError as exc:
+        raise ValueError(f"cannot write --out {args.out}: {exc.strerror or exc}") from exc
+    for line in human or _human_table(header, rows):
+        print(line)
 
 
 def _human_table(header, rows) -> list[str]:
@@ -185,29 +190,22 @@ def cmd_fidelity(args) -> int:
         f_global = fidelity_global(out, x)
         f_global_ref = closed_form_global(args.m, L, args.d)
         diff = max(abs(f_single - f_single_ref), abs(f_global - f_global_ref))
-        rows.append((args.d, args.m, L, f_single, f_single_ref, f_global, f_global_ref, diff))
+        rows.append(dict(zip(header, (args.d, args.m, L, f_single, f_single_ref,
+                                      f_global, f_global_ref, diff))))
 
-    ok = all(row[-1] <= FIDELITY_GATE for row in rows)
-    json_obj = {
-        "command": "fidelity",
-        "params": {"d": args.d, "m": args.m, "l_max": args.l_max, "seed": args.seed},
-        "rows": [dict(zip(header, row)) for row in rows],
-        "pass": ok,
-    }
-    _emit(args, header, rows, json_obj)
+    ok = all(row["max_abs_diff"] <= FIDELITY_GATE for row in rows)
+    params = {"d": args.d, "m": args.m, "l_max": args.l_max, "seed": args.seed}
+    document = {"command": "fidelity", "params": params, "rows": rows, "pass": ok}
+    _emit(args, header, rows, document)
     return 0 if ok else 1
 
 
 def cmd_evolve(args) -> int:
     probs = emission_probabilities(ladder_matrix(args.d, args.n, args.m), args.tau)
-    header = ("l", "probability")
-    rows = [(l, float(p)) for l, p in enumerate(probs)]
-    json_obj = {
-        "command": "evolve",
-        "params": {"d": args.d, "m": args.m, "n": args.n, "tau": args.tau},
-        "rows": [dict(zip(header, row)) for row in rows],
-    }
-    _emit(args, header, rows, json_obj)
+    rows = [{"l": l, "probability": p} for l, p in enumerate(probs.tolist())]
+    params = {"d": args.d, "m": args.m, "n": args.n, "tau": args.tau}
+    document = {"command": "evolve", "params": params, "rows": rows}
+    _emit(args, ("l", "probability"), rows, document)
     return 0
 
 
@@ -228,8 +226,8 @@ def cmd_clone(args) -> int:
     if args.d is not None and args.d != vector_d:
         raise ValueError(f"--d {args.d} contradicts a {vector_d}-mode input vector")
     if args.x is not None:
-        if args.m is None or args.m < 1:
-            raise ValueError("--x requires --m >= 1")
+        if args.m is None:
+            raise ValueError("--x requires --m")
         norm = float(np.linalg.norm(args.x))
         if norm == 0.0:
             raise ValueError("--x must not be the zero vector")
@@ -245,52 +243,38 @@ def cmd_clone(args) -> int:
         params = {"d": args.j.d, "m": args.j.total(), "l": args.l,
                   "j": list(args.j), "x": None}
 
-    reduced = reduce_to_single(out) if out.L >= 1 else None
-    fidelity = fidelity_single(reduced, x) if (reduced is not None and x is not None) else None
+    coefficients, a_index = out.nonzero_rows()
+    limit = MAX_CLONE_RECORDS * 6 // max(out.d, 6)
+    if coefficients.size > limit:
+        raise ValueError(f"clone listing too large: {coefficients.size} amplitude records > "
+                         f"{limit}, the MAX_CLONE_RECORDS bound at d = {out.d}")
+    rho1 = reduce_to_single(out) if out.L >= 1 else None
+    fidelity = None if rho1 is None or x is None else fidelity_single(rho1, x)
+    reduced = None if rho1 is None else [[[z.real, z.imag] for z in row]
+                                         for row in rho1.matrix.tolist()]
 
-    header = ("record", "a_occupation", "b_occupation", "row", "col", "real", "imag")
-    rows = []
-    amp_entries = []
-    # Nonzeros from the clone-table rows of the nonzero inputs, in (p, q) order.
-    live = np.flatnonzero(out.inputs)
-    amp, a_index = clone_coefficients(out.d, out.M, out.l)
-    coefficients = out.inputs[live, None] * amp[live]
+    # The nonzero amplitudes in (p, q) order: p ranks the a-occupation, q the b-occupation.
     js, qs = np.nonzero(coefficients)
-    ps = a_index[live[js], qs]
-    order = np.lexsort((qs, ps))
-    nonzero = coefficients[js[order], qs[order]]
-    a_vecs = sector_array(out.d, out.L)[ps[order]].tolist()
-    b_vecs = sector_array(out.d, out.l)[qs[order]].tolist()
-    for a_vec, b_vec, re, im in zip(a_vecs, b_vecs, nonzero.real.tolist(), nonzero.imag.tolist()):
-        rows.append(("amplitude", ",".join(map(str, a_vec)), ",".join(map(str, b_vec)),
-                     None, None, re, im))
-        amp_entries.append({"a": a_vec, "b": b_vec, "real": re, "imag": im})
-    reduced_entries = None
-    if reduced is not None:
-        reduced_entries = [[[z.real, z.imag] for z in row] for row in reduced.matrix.tolist()]
-        rows += [("reduced", None, None, r, s, *z) for r, row in enumerate(reduced_entries)
+    order = np.lexsort((qs, a_index[js, qs]))
+    js, qs = js[order], qs[order]
+    values = coefficients[js, qs]
+    records = list(zip(sector_array(out.d, out.L)[a_index[js, qs]].tolist(),
+                       sector_array(out.d, out.l)[qs].tolist(),
+                       values.real.tolist(), values.imag.tolist()))
+    document = rows = None
+    if args.format == "json":
+        amplitudes = [{"a": a, "b": b, "real": re, "imag": im} for a, b, re, im in records]
+        document = {"command": "clone", "params": params, "amplitudes": amplitudes,
+                    "reduced": reduced, "fidelity": fidelity}
+    if args.format == "csv" or args.out:
+        rows = [("amplitude", ",".join(map(str, a)), ",".join(map(str, b)), None, None, re, im)
+                for a, b, re, im in records]
+        rows += [("reduced", None, None, r, s, *z) for r, row in enumerate(reduced or ())
                  for s, z in enumerate(row)]
-    rows.append(("fidelity", None, None, None, None, fidelity, None))
-
-    json_obj = {
-        "command": "clone",
-        "params": params,
-        "amplitudes": amp_entries,
-        "reduced": reduced_entries,
-        "fidelity": fidelity,
-    }
-    _emit(args, header, rows, json_obj)
+        rows.append(("fidelity", None, None, None, None, fidelity, None))
+    header = ("record", "a_occupation", "b_occupation", "row", "col", "real", "imag")
+    _emit(args, header, rows, document)
     return 0
-
-
-def _verify_sectors():
-    sectors = []
-    for d in range(2, VERIFY_D_MAX + 1):
-        for n in range(1, VERIFY_N_MAX + 1):
-            for m in range(VERIFY_M_MAX + 1):
-                for j in enumerate_sector(d, m):
-                    sectors.append((d, n, j))
-    return sectors
 
 
 def cmd_verify(args) -> int:
@@ -301,59 +285,38 @@ def cmd_verify(args) -> int:
     perturbation = PERTURBATION_SIZE if args.inject_perturbation else 0.0
 
     print(f"seed = {args.seed}", file=sys.stderr)
-    sectors = _verify_sectors()
-    checks = []
+    sectors = [(d, n, j) for d in range(2, VERIFY_D_MAX + 1) for n in range(1, VERIFY_N_MAX + 1)
+               for m in range(VERIFY_M_MAX + 1) for j in enumerate_sector(d, m)]
 
-    def tag(kind, d, n, j, extra=""):
+    def label(kind, d, n, j, extra=""):
         return f"{kind}[d={d},N={n},j={','.join(map(str, j))}{extra}]"
 
-    for d, n, j in sectors:
-        report = verify_ladder(d, n, j, perturbation=perturbation)
-        for check in report["checks"]:
-            checks.append({**check, "name": f"{tag('ladder', d, n, j)}:{check['name']}"})
-
+    reports = [(label("ladder", d, n, j), verify_ladder(d, n, j, perturbation=perturbation))
+               for d, n, j in sectors]
     rng = np.random.default_rng(args.seed)
     for _ in range(args.samples):
         d, n, j = sectors[int(rng.integers(len(sectors)))]
         t = float(rng.uniform(0.0, VERIFY_T_MAX))
-        report = verify_evolution(d, n, j, t=t, perturbation=perturbation)
-        for check in report["checks"]:
-            checks.append({**check, "name": f"{tag('evolution', d, n, j, f',t={t:.6f}')}:{check['name']}"})
+        reports.append((label("evolution", d, n, j, f",t={t:.6f}"),
+                        verify_evolution(d, n, j, t=t, perturbation=perturbation)))
+    checks = [{**check, "name": f"{tag}:{check['name']}"}
+              for tag, report in reports for check in report["checks"]]
 
     overall = all(check["pass"] for check in checks)
-    report = {
-        "params": {
-            "d_max": VERIFY_D_MAX,
-            "n_max": VERIFY_N_MAX,
-            "m_max": VERIFY_M_MAX,
-            "gamma": 1.0,
-            "seed": args.seed,
-            "evolution_draws": args.samples,
-            "perturbation": perturbation,
-        },
-        "checks": checks,
-        "pass": overall,
-    }
-
-    header = ("name", "max_deviation", "tolerance", "pass")
-    rows = [(c["name"], c["max_deviation"], c["tolerance"], c["pass"]) for c in checks]
+    params = {"d_max": VERIFY_D_MAX, "n_max": VERIFY_N_MAX, "m_max": VERIFY_M_MAX, "gamma": 1.0,
+              "seed": args.seed, "evolution_draws": args.samples, "perturbation": perturbation}
+    document = {"params": params, "checks": checks, "pass": overall}
     failed = sum(1 for c in checks if not c["pass"])
     human = [f"{len(checks)} checks, {failed} failed: {'PASS' if overall else 'FAIL'}"]
-    _emit(args, header, rows, report, human)
+    _emit(args, ("name", "max_deviation", "tolerance", "pass"), checks, document, human)
     return 0 if overall else 1
 
 
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    handlers = {
-        "fidelity": cmd_fidelity,
-        "evolve": cmd_evolve,
-        "clone": cmd_clone,
-        "verify": cmd_verify,
-    }
     try:
-        return handlers[args.command](args)
+        return args.run(args)
     except ValueError as exc:
         # Library preconditions surfacing from user-supplied values.
         parser.error(str(exc))

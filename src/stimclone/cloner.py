@@ -108,8 +108,10 @@ class CloneOutput:
     sum_{j,k} c_j amp[j, k] |a_basis[a_index[j, k]]>_a |b_basis[k]>_b, with
     (amp, a_index) the cached `fock.clone_coefficients(d, M, l)`.  Only c is
     stored, as `inputs`.  `coefficients[..., j, k] = c_j amp[j, k]` holds all
-    the nonzeros (j -> a_index[j, k] is one-to-one for each k); it, `a_basis`,
-    `b_basis` and `a_index` are read from the cached tables on access.
+    the nonzeros (j -> a_index[j, k] is one-to-one for each k), and
+    `nonzero_rows()` keeps only its rows with a nonzero input, together with
+    their a_index rows; both, `a_basis` and `b_basis` are read from the
+    cached tables on access.
 
     A mixed output has one leading component axis: inputs[i] = sqrt(p_i) v_i
     for the eigenpairs (p_i, v_i) of the input, and the joint density is the
@@ -136,18 +138,25 @@ class CloneOutput:
         return enumerate_sector(self.d, self.l)
 
     @property
-    def a_index(self) -> np.ndarray:
-        return clone_coefficients(self.d, self.M, self.l)[1]
-
-    @property
     def coefficients(self) -> np.ndarray:
         return self.inputs[..., None] * clone_coefficients(self.d, self.M, self.l)[0]
 
+    def nonzero_rows(self) -> tuple[np.ndarray, np.ndarray]:
+        """(coefficients, a_index) on the input rows that are nonzero in any component.
+
+        The rows left out hold only zeros: a basis output keeps one row, and a
+        pure output one row per nonzero c_j.
+        """
+        amp, a_index = clone_coefficients(self.d, self.M, self.l)
+        live = np.flatnonzero(self.inputs.reshape(-1, len(amp)).any(axis=0))
+        return self.inputs[..., live, None] * amp[live], a_index[live]
+
     @cached_property
     def amplitudes(self) -> np.ndarray:
+        coefficients, a_index = self.nonzero_rows()
         shape = self.inputs.shape[:-1] + (len(self.a_basis), len(self.b_basis))
-        amps = np.zeros(shape, dtype=np.result_type(self.inputs, float))
-        amps[..., self.a_index, np.arange(len(self.b_basis))] = self.coefficients
+        amps = np.zeros(shape, dtype=coefficients.dtype)
+        amps[..., a_index, np.arange(len(self.b_basis))] = coefficients
         return amps
 
     def to_density(self) -> np.ndarray:

@@ -97,12 +97,11 @@ def _parity_spectrum(h: LadderHamiltonian, t: float):
     paired singular vectors in their columns, with B v_k = sigma_k u_k and
     sigma_k >= 0; zero holds the null vector of E = B B^T as its one column
     when N is even and has no column when N is odd; cos and sin are
-    cos(sigma t) and sin(sigma t).
+    cos(sigma t) and sin(sigma t).  Raises ValueError when a phase sigma t
+    is not finite: t is inf or nan, or so large that sigma t overflows.
     """
     from scipy.linalg import eigh_tridiagonal
 
-    if not math.isfinite(t):
-        raise ValueError(f"evolution time must be finite, got {t}")
     off = np.asarray(h.offdiag)
     n_even, n_odd = h.N // 2 + 1, (h.N + 1) // 2
     # B[i, i] = off[2i] couples rung 2i to 2i+1, B[i+1, i] = off[2i+1]
@@ -122,7 +121,10 @@ def _parity_spectrum(h: LadderHamiltonian, t: float):
     r = np.einsum("i,ik,ik->k", diag, u[:n_odd], v)
     r += np.einsum("i,ik,ik->k", sub, u[1:], v[: n_even - 1])
     v *= np.where(r < 0.0, -1.0, 1.0)
-    sigma_t = np.abs(r) * t
+    with np.errstate(over="ignore"):
+        sigma_t = np.abs(r) * t
+    if not np.all(np.isfinite(sigma_t)):
+        raise ValueError(f"evolution phases sigma * t must be finite, got t = {t}")
     return u, v, zero, np.cos(sigma_t), np.sin(sigma_t)
 
 

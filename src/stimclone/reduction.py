@@ -22,10 +22,11 @@ photons emitted into each mode:
     rho_1[r, s] = sum_j rho_in[j, j'] sqrt(j_r / (j_s + 1)) (j_s + 1 + emitted[j, s]) / L.
 
 A density of L bosons is the M = L case with emitted = 0.  Both sums run in
-one pass over the flat table of `_hops`.  The L-copy
-fidelity is sum_k |sum_j conj(t_{j+k}) c_j amp[j, k]|^2 for the target
-amplitudes t.  A mixed output stacks one c per eigenvector of its input, and
-both sums also run over that axis.  Neither forms the dense amplitude matrix
+one pass over the flat table of `_hops`.  The L-copy fidelity is
+sum_k |sum_j conj(t_{j+k}) c_j amp[j, k]|^2 for the target amplitudes t,
+with j only over the inputs with c_j != 0 (`CloneOutput.nonzero_rows`).  A
+mixed output stacks one c per eigenvector of its input, and both sums also
+run over that axis.  Neither forms the dense amplitude matrix
 or a density of the a or ab registers; `trace_out_b` forms the a x a density
 for callers that want it.
 """
@@ -135,7 +136,8 @@ def fidelity_global(out: CloneOutput, x: PureQudit) -> float:
     if out.d != x.d:
         raise ValueError(f"dimension mismatch: output is {out.d}-level, qudit is {x.d}-level")
     target = expand_identical(x, out.L)
-    overlaps = np.sum(target[out.a_index].conj() * out.coefficients, axis=-2)
+    coefficients, a_index = out.nonzero_rows()
+    overlaps = np.sum(target[a_index].conj() * coefficients, axis=-2)
     return float(np.sum(np.abs(overlaps) ** 2))
 
 

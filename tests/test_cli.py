@@ -10,7 +10,7 @@ import time
 import numpy as np
 import pytest
 
-from stimclone.cli import MAX_VERIFY_SAMPLES, main
+from stimclone.cli import MAX_CLONE_RECORDS, MAX_VERIFY_SAMPLES, main
 from stimclone.cloner import CloneOutput, PureQudit, clone_basis_state, clone_pure
 from stimclone.fock import MAX_CLONE_ENTRIES, enumerate_sector
 from stimclone.ladder import MAX_LADDER_ATOMS
@@ -262,6 +262,7 @@ def test_clone_usage_errors(capsys):
         ["clone", "--j", "1,0", "--l", "-1"],
         ["clone", "--j", "300,0", "--l", "1"],  # factorial bound
         ["clone", "--x", "inf,1", "--m", "1", "--l", "1"],
+        ["clone", "--x", "1", "--m", "1", "--l", "1"],
     ):
         with pytest.raises(SystemExit) as exc:
             main(argv)
@@ -315,6 +316,36 @@ def test_out_file_matches_stdout_and_prints_table(tmp_path, capsys):
     assert "0.833333" in table_out  # 6-digit human table
 
 
+def test_unwritable_out_is_a_usage_error(tmp_path, capsys):
+    target = tmp_path / "missing" / "x.csv"
+    with pytest.raises(SystemExit) as exc:
+        main(["evolve", "--d", "2", "--m", "0", "--n", "2", "--tau", "1", "--out", str(target)])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert str(target) in captured.err
+    assert captured.out == ""
+    assert not target.parent.exists()
+
+
+def test_csv_float_cells_are_the_repr_of_the_json_values(capsys):
+    # float(cell) would also accept a shorter or longer spelling; the cell must be repr itself.
+    cases = (
+        (["evolve", "--d", "3", "--m", "2", "--n", "40", "--tau", "1.3"], "rows",
+         [("probability", 1)]),
+        (["verify", "--samples", "3"], "checks", [("max_deviation", 1), ("tolerance", 2)]),
+    )
+    for argv, key, columns in cases:
+        _, csv_out, _ = run_cli(capsys, argv)
+        _, json_out, _ = run_cli(capsys, argv + ["--format", "json"])
+        _, rows = parse_csv(csv_out)
+        records = json.loads(json_out)[key]
+        assert len(rows) == len(records) > 0
+        for row, record in zip(rows, records):
+            for name, column in columns:
+                assert isinstance(record[name], float)
+                assert row[column] == repr(record[name])
+
+
 def test_unknown_subcommand_exits_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])
@@ -358,6 +389,7 @@ def test_evolve_usage_errors(capsys):
         ["evolve", "--d", "2", "--m", "-1", "--n", "3", "--tau", "1"],
         ["evolve", "--d", "2", "--m", "0", "--n", "0", "--tau", "1"],
         ["evolve", "--d", "2", "--m", "0", "--n", "3", "--tau", "nan"],
+        ["evolve", "--d", "6", "--m", "6", "--n", "100", "--tau", "1e307"],
     ):
         with pytest.raises(SystemExit) as exc:
             main(argv)
@@ -373,6 +405,21 @@ def test_clone_rejects_oversized_table(capsys):
     assert exc.value.code == 2
     assert time.perf_counter() - start < 0.5
     assert str(MAX_CLONE_ENTRIES) in capsys.readouterr().err
+
+
+def test_clone_rejects_oversized_listing_at_once(capsys):
+    # 21 input rows x 7,381 emission vectors: one record above the bound at d = 3.
+    # At d = 30 the bound shrinks by 6/30, so 7 x 4,960 records are too many.
+    wide = ",".join(["1"] * 7 + ["0"] * 23)
+    for argv, limit in ((["--x", "0.6,0.5,0.4", "--m", "5", "--l", "120"], MAX_CLONE_RECORDS),
+                        (["--x", wide, "--m", "1", "--l", "3"], MAX_CLONE_RECORDS // 5)):
+        start = time.perf_counter()
+        with pytest.raises(SystemExit) as exc:
+            main(["clone", *argv])
+        assert exc.value.code == 2
+        assert time.perf_counter() - start < 0.5
+        err = capsys.readouterr().err
+        assert f"> {limit}," in err and "MAX_CLONE_RECORDS" in err
 
 
 def test_cli_import_and_fidelity_run_do_not_load_scipy():

@@ -85,6 +85,26 @@ def test_clone_outputs_store_inputs_and_have_unit_norm(d, m, l, seed):
         assert abs(np.linalg.norm(out.coefficients) - 1.0) < 1e-12
 
 
+def test_nonzero_rows_keep_the_rows_of_nonzero_inputs():
+    basis = enumerate_sector(3, 2)
+    rho = np.diag([0.0, 0.7, 0.3, 0.0, 0.0, 0.0])  # each component is nonzero on one input
+    outs = (clone_basis_state((0, 2, 0), 2),
+            clone_pure(PureQudit(np.array([0.6, 0.0, 0.8j])), 2, 2),
+            clone_mixed(SymmetricDensity(basis, rho), 2))
+    for out, live in zip(outs, ([3], [0, 2, 5], [1, 2])):
+        coefficients, a_index = out.nonzero_rows()
+        assert a_index.shape == coefficients.shape[-2:] == (len(live), len(out.b_basis))
+        for r, j in enumerate(live):
+            c = out.inputs[..., j]
+            for k, b_vec in enumerate(out.b_basis):
+                a_vec = tuple(x + y for x, y in zip(basis[j], b_vec))
+                assert a_index[r, k] == out.a_basis.index(a_vec)
+                amp = math.sqrt(amplitude_squared(basis[j], b_vec))
+                assert np.max(np.abs(coefficients[..., r, k] - c * amp)) < 1e-15
+        dropped = np.delete(out.coefficients, live, axis=-2)
+        assert not dropped.any()
+
+
 def test_cloning_is_an_isometry_per_emission_sector():
     for d in (2, 3):
         for m in (0, 1, 2):

@@ -1,5 +1,6 @@
 import math
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -130,6 +131,16 @@ def test_evolve_rejects_nonfinite_time():
         evolve(h, math.inf)
     with pytest.raises(ValueError):
         evolve(h, math.nan)
+
+
+def test_evolve_and_propagator_reject_overflowing_phases():
+    # sigma * t overflows to inf: a ValueError, not nan probabilities and a RuntimeWarning.
+    h = ladder_matrix(6, 100, 6)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for fn in (evolve, propagator):
+            with pytest.raises(ValueError, match="finite"):
+                fn(h, 1e307)
 
 
 def _full_spectrum_amplitudes(h, t):
