@@ -105,13 +105,11 @@ class CloneOutput:
     """Joint output conditioned on l extra copies, stored as its input coefficients.
 
     An input sum_j c_j |J[j]> of the (d, M) sector J clones to
-    sum_{j,k} c_j amp[j, k] |a_basis[a_index[j, k]]>_a |b_basis[k]>_b, with
-    (amp, a_index) the cached `fock.clone_coefficients(d, M, l)`.  Only c is
-    stored, as `inputs`.  `coefficients[..., j, k] = c_j amp[j, k]` holds all
-    the nonzeros (j -> a_index[j, k] is one-to-one for each k), and
-    `nonzero_rows()` keeps only its rows with a nonzero input, together with
-    their a_index rows; both, `a_basis` and `b_basis` are read from the
-    cached tables on access.
+    sum_{j,k} c_j amp[j, k] |J[j] + K[k]>_a |K[k]>_b, with K = b_basis and amp
+    the cached `fock.clone_coefficients(d, M, l)`.  Only c is stored, as
+    `inputs`.  `coefficients[..., j, k] = c_j amp[j, k]` holds all the nonzeros
+    (j -> J[j] + K[k] is one-to-one for each k); `nonzero_rows()` keeps its rows
+    with a nonzero input and ranks their J[j] + K[k].  Both are formed on access.
 
     A mixed output has one leading component axis: inputs[i] = sqrt(p_i) v_i
     for the eigenpairs (p_i, v_i) of the input, and the joint density is the
@@ -139,17 +137,18 @@ class CloneOutput:
 
     @property
     def coefficients(self) -> np.ndarray:
-        return self.inputs[..., None] * clone_coefficients(self.d, self.M, self.l)[0]
+        return self.inputs[..., None] * clone_coefficients(self.d, self.M, self.l)
 
     def nonzero_rows(self) -> tuple[np.ndarray, np.ndarray]:
         """(coefficients, a_index) on the input rows that are nonzero in any component.
 
-        The rows left out hold only zeros: a basis output keeps one row, and a
-        pure output one row per nonzero c_j.
+        a_index holds the a_basis positions of J[j] + K[k], ranked for the kept
+        rows only.  A basis output keeps one row, a pure output one per c_j != 0.
         """
-        amp, a_index = clone_coefficients(self.d, self.M, self.l)
+        amp = clone_coefficients(self.d, self.M, self.l)
         live = np.flatnonzero(self.inputs.reshape(-1, len(amp)).any(axis=0))
-        return self.inputs[..., live, None] * amp[live], a_index[live]
+        a_index = rank(sector_array(self.d, self.M)[live, None], sector_array(self.d, self.l))
+        return self.inputs[..., live, None] * amp[live], a_index
 
     @cached_property
     def amplitudes(self) -> np.ndarray:
@@ -172,8 +171,7 @@ def clone_basis_state(j, l: int) -> CloneOutput:
     is already normalized.
     """
     j = j if isinstance(j, OccupationVector) else OccupationVector(j)
-    amp, _ = clone_coefficients(j.d, j.total(), l)
-    c = np.zeros(len(amp))
+    c = np.zeros(len(clone_coefficients(j.d, j.total(), l)))  # also rejects an oversized shape
     c[rank(j)] = 1.0
     return CloneOutput(j.d, j.total(), l, c)
 

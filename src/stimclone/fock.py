@@ -11,7 +11,7 @@ ever formed in floating point.
 
 import math
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, reduce
 from itertools import chain, combinations
 
 import numpy as np
@@ -20,9 +20,9 @@ import numpy as np
 # package computes stays far below it.
 MAX_FACTORIAL = 200
 
-# Largest |J| x |K| table `clone_coefficients` builds.  Its intermediates peak
-# at about 150 bytes per entry at d = 6, so a table at this bound takes about
-# 0.5 GB; `clone --d 6 --j 6,0,0,0,0,0 --l 12` (2,858,856 entries) fits.
+# Largest |J| x |K| table `clone_coefficients` builds.  Its build peaks at 16
+# bytes per entry (result and one mode term), 48 MB at this bound; `clone --d 6
+# --j 6,0,0,0,0,0 --l 12` (2,858,856 entries) fits and adds 44 MB.
 MAX_CLONE_ENTRIES = 3_000_000
 
 # ln(n!) from the exact integer factorial, so each entry is correct to 1 ulp.
@@ -135,21 +135,19 @@ def _rank_table(d: int, tail_max: int) -> np.ndarray:
     return table
 
 
-def rank(vectors) -> np.ndarray:
-    """Canonical position of occupation vectors within their sector.
+def rank(*parts) -> np.ndarray:
+    """Canonical position of occupation vectors, or of a sum of parts, in their sector.
 
-    Vectorised over the leading axes of a non-negative int array whose last
-    axis holds the d counts.  This is the stars-and-bars (combinatorial
+    Vectorised over the broadcast leading axes of non-negative int arrays whose
+    last axis holds the d counts.  This is the stars-and-bars (combinatorial
     number system) rank of the reverse-lexicographic order: the vectors ahead
     of n with the same counts in the modes before i but more in mode i number
     C(t_i + d-2-i, d-1-i), where t_i counts the photons after mode i.
     """
-    v = np.asarray(vectors, dtype=np.int64)
-    d = v.shape[-1]
-    # tails[..., i] = photons in the modes after i, for i = 0 .. d-2.
-    tails = np.cumsum(v[..., :0:-1], axis=-1)[..., ::-1]
-    table = _rank_table(d, int(tails.max(initial=0)))
-    return table[np.arange(d - 1), tails].sum(axis=-1)
+    # tails[p][..., i] = photons of part p after mode i; the tails of a sum add.
+    tails = [np.cumsum(np.asarray(v, np.int64)[..., :0:-1], axis=-1)[..., ::-1] for v in parts]
+    table = _rank_table(tails[0].shape[-1] + 1, sum(int(t.max(initial=0)) for t in tails))
+    return sum(row[reduce(np.add, (t[..., i] for t in tails))] for i, row in enumerate(table))
 
 
 def log_factorial(n: int) -> float:
@@ -162,19 +160,19 @@ def log_factorial(n: int) -> float:
 
 
 @cache
-def clone_coefficients(d: int, M: int, l: int) -> tuple[np.ndarray, np.ndarray]:
+def clone_coefficients(d: int, M: int, l: int) -> np.ndarray:
     """Every clone amplitude of the (d, M) input sector with l extra copies.
 
-    Returns read-only arrays (amp, a_index) of shape (|J|, |K|), where J is
-    the (d, M) sector and K the (d, l) sector, both in canonical order.  The
-    coefficient of |j+k>_a |k>_b in the clone of basis input j is
+    Returns a read-only float array amp of shape (|J|, |K|), where J is the
+    (d, M) sector and K the (d, l) sector, both in canonical order.  Basis
+    input J[j] clones to sum_k amp[j, k] |J[j] + K[k]>_a |K[k]>_b, with
 
         amp[j, k] = sqrt[(M+d-1)! l! / (M+l+d-1)!] * prod_i sqrt[(k_i+j_i)! / (k_i! j_i!)]
 
     evaluated as exp of a log-factorial sum; it is non-negative and each row
-    has unit norm.  a_index[j, k] is the position of J[j] + K[k] in the
-    (d, M+l) sector, so basis input J[j] clones to
-    sum_k amp[j, k] |a_index[j, k]>_a |k>_b.  Cached per shape.  Raises
+    has unit norm.  It is summed one mode at a time from a (M+1) x (l+1) table
+    of ln C(a+b, b), so no |J| x |K| x d array is formed; `rank(J[:, None], K)`
+    ranks J[j] + K[k] in the (d, M+l) sector.  Cached per shape.  Raises
     ValueError before allocating when |J| x |K| > MAX_CLONE_ENTRIES.
     """
     if d < 2:
@@ -188,17 +186,18 @@ def clone_coefficients(d: int, M: int, l: int) -> tuple[np.ndarray, np.ndarray]:
     entries = math.comb(M + d - 1, d - 1) * math.comb(l + d - 1, d - 1)
     if entries > MAX_CLONE_ENTRIES:
         raise ValueError(f"clone table too large: {entries} entries > {MAX_CLONE_ENTRIES}")
-    j = sector_array(d, M)
-    k = sector_array(d, l)
-    jk = j[:, None, :] + k[None, :, :]
-    log_sq = log_factorial(M + d - 1) + log_factorial(l) - log_factorial(M + l + d - 1)
-    lf = _LOG_FACTORIAL_TABLE
-    log_sq = log_sq + (lf[jk] - lf[k] - lf[j][:, None, :]).sum(axis=-1)
-    amp = np.exp(0.5 * log_sq)
-    a_index = rank(jk)
+    j, k, lf = sector_array(d, M), sector_array(d, l), _LOG_FACTORIAL_TABLE
+    # log_binom[a, b] = ln C(a+b, b).  The modes are summed in order from zero,
+    # the order in which numpy sums an axis shorter than 8.
+    log_binom = lf[np.arange(M + 1)[:, None] + np.arange(l + 1)] - lf[: l + 1] - lf[: M + 1, None]
+    log_sq = np.zeros((len(j), len(k)))
+    for i in range(d):
+        log_sq += log_binom[j[:, i, None], k[:, i]]
+    log_sq += log_factorial(M + d - 1) + log_factorial(l) - log_factorial(M + l + d - 1)
+    log_sq *= 0.5
+    amp = np.exp(log_sq, out=log_sq)
     amp.setflags(write=False)
-    a_index.setflags(write=False)
-    return amp, a_index
+    return amp
 
 
 def log_multinomials(vectors) -> np.ndarray:

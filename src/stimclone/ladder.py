@@ -40,6 +40,9 @@ import numpy as np
 # and the eigensolver's workspace), about 0.6 GB at this bound.
 MAX_LADDER_ATOMS = 10_000
 
+# Largest |sigma t| accepted: one ulp of the phase is then 2^-20, about 1e-6 rad.
+MAX_PHASE = 2**32
+
 
 @dataclass(frozen=True)
 class LadderHamiltonian:
@@ -97,8 +100,8 @@ def _parity_spectrum(h: LadderHamiltonian, t: float):
     paired singular vectors in their columns, with B v_k = sigma_k u_k and
     sigma_k >= 0; zero holds the null vector of E = B B^T as its one column
     when N is even and has no column when N is odd; cos and sin are
-    cos(sigma t) and sin(sigma t).  Raises ValueError when a phase sigma t
-    is not finite: t is inf or nan, or so large that sigma t overflows.
+    cos(sigma t) and sin(sigma t).  Raises ValueError unless |sigma t| < MAX_PHASE
+    for every phase: t is inf or nan, or sigma t overflows or is too coarse.
     """
     from scipy.linalg import eigh_tridiagonal
 
@@ -123,8 +126,8 @@ def _parity_spectrum(h: LadderHamiltonian, t: float):
     v *= np.where(r < 0.0, -1.0, 1.0)
     with np.errstate(over="ignore"):
         sigma_t = np.abs(r) * t
-    if not np.all(np.isfinite(sigma_t)):
-        raise ValueError(f"evolution phases sigma * t must be finite, got t = {t}")
+    if not np.all(np.abs(sigma_t) < MAX_PHASE):
+        raise ValueError(f"phases sigma * t must be finite and below {MAX_PHASE}, got t = {t}")
     return u, v, zero, np.cos(sigma_t), np.sin(sigma_t)
 
 

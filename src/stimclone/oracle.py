@@ -179,7 +179,7 @@ def verify_ladder(d: int, N: int, j, gamma: float = 1.0, perturbation: float = 0
 
     # The F_l have disjoint supports, so their sum lists every l block in order.
     row = rank(j)
-    table = np.concatenate([clone_coefficients(d, j.total(), l)[0][row] for l in range(N + 1)])
+    table = np.concatenate([clone_coefficients(d, j.total(), l)[row] for l in range(N + 1)])
     table_dev = float(np.max(np.abs(embedded.sum(axis=1) - table)))
     restriction = embedded.T @ h @ embedded
     restriction_dev = float(np.max(np.abs(restriction - reference.matrix())))

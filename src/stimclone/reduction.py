@@ -114,7 +114,7 @@ def reduce_to_single(rho_L: SymmetricDensity | CloneOutput) -> SingleQuditDensit
     if cloned:
         c = rho_L.inputs.reshape(-1, rho_L.inputs.shape[-1])
         rho_in = (c[:, src] * c[:, dst].conj()).sum(axis=0)
-        amp = clone_coefficients(d, M, rho_L.l)[0]
+        amp = clone_coefficients(d, M, rho_L.l)
         emitted = (amp * amp) @ sector_array(d, rho_L.l)
     else:
         rho_in, emitted = rho_L.matrix[src, dst], np.zeros((len(rho_L.basis), d))

@@ -1,4 +1,7 @@
 import math
+import os
+import subprocess
+import sys
 import time
 from fractions import Fraction
 from itertools import permutations
@@ -6,6 +9,7 @@ from itertools import permutations
 import numpy as np
 import pytest
 
+import stimclone
 from stimclone.cloner import clone_basis_state
 from stimclone.fock import (
     MAX_CLONE_ENTRIES,
@@ -135,7 +139,7 @@ def test_clone_amplitude_single_photon_values():
     # Exact-rational oracle gives 2/3 and 1/3 for the two emission channels.
     assert amplitude_squared((1, 0), (1, 0)) == Fraction(2, 3)
     assert amplitude_squared((1, 0), (0, 1)) == Fraction(1, 3)
-    amp, _ = clone_coefficients(2, 1, 1)
+    amp = clone_coefficients(2, 1, 1)
     row = rank((1, 0))
     assert amp[row, rank((1, 0))] == pytest.approx(math.sqrt(2 / 3), abs=1e-14)
     assert amp[row, rank((0, 1))] == pytest.approx(math.sqrt(1 / 3), abs=1e-14)
@@ -144,7 +148,7 @@ def test_clone_amplitude_single_photon_values():
 def test_clone_amplitude_without_emission_is_one():
     for d in (2, 3, 4):
         for m in (0, 1, 3):
-            amp, _ = clone_coefficients(d, m, 0)
+            amp = clone_coefficients(d, m, 0)
             assert amp.shape == (len(enumerate_sector(d, m)), 1)
             assert np.all(amp == 1.0)
 
@@ -155,7 +159,7 @@ def test_clone_amplitude_normalization(d):
     # oracle) and to 1 within 1e-12 in floating point.
     for m in range(5):
         for l in range(5):
-            amp, _ = clone_coefficients(d, m, l)
+            amp = clone_coefficients(d, m, l)
             ks = enumerate_sector(d, l)
             for j in enumerate_sector(d, m):
                 exact = sum(amplitude_squared(j, k) for k in ks)
@@ -169,7 +173,7 @@ def test_clone_amplitude_mode_permutation_symmetry():
         d = int(rng.integers(2, 5))
         j = tuple(int(v) for v in rng.integers(0, 3, size=d))
         k = tuple(int(v) for v in rng.integers(0, 3, size=d))
-        amp, _ = clone_coefficients(d, sum(j), sum(k))
+        amp = clone_coefficients(d, sum(j), sum(k))
         for perm in permutations(range(d)):
             jp = tuple(j[p] for p in perm)
             kp = tuple(k[p] for p in perm)
@@ -180,7 +184,8 @@ def test_clone_coefficients_match_scalar_amplitudes():
     for d in range(2, 5):
         for m in range(4):
             for l in range(4):
-                amp, a_index = clone_coefficients(d, m, l)
+                amp = clone_coefficients(d, m, l)
+                a_index = rank(sector_array(d, m)[:, None], sector_array(d, l))
                 js, ks = enumerate_sector(d, m), enumerate_sector(d, l)
                 a_basis = enumerate_sector(d, m + l)
                 assert amp.shape == a_index.shape == (len(js), len(ks))
@@ -193,7 +198,7 @@ def test_clone_coefficients_match_scalar_amplitudes():
 def test_clone_coefficients_reject_oversized_shapes():
     # M + l + d - 1 is the largest factorial argument; one past the table must
     # raise ValueError, not index off its end.
-    amp, _ = clone_coefficients(2, 150, MAX_FACTORIAL - 151)
+    amp = clone_coefficients(2, 150, MAX_FACTORIAL - 151)
     assert np.all(np.isfinite(amp))
     for d, m, l in [(2, 150, MAX_FACTORIAL - 150), (2, 0, MAX_FACTORIAL), (3, MAX_FACTORIAL, 1)]:
         with pytest.raises(ValueError):
@@ -211,3 +216,19 @@ def test_clone_coefficients_reject_oversized_tables_before_allocating():
         with pytest.raises(ValueError, match="clone table too large"):
             clone_coefficients(d, m, l)
         assert time.perf_counter() - start < 0.1
+
+
+def test_clone_coefficients_build_stays_near_the_result_size():
+    # The (6, 6, 12) table holds 2,858,856 floats (23 MB); building it must
+    # not form |J| x |K| x d temporaries.  ru_maxrss is in KiB on Linux.
+    script = (
+        "import resource\n"
+        "from stimclone.fock import clone_coefficients\n"
+        "before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+        "clone_coefficients(6, 6, 12)\n"
+        "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(stimclone.__file__)))
+    result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                            env=env, check=True)
+    assert int(result.stdout) < 100 * 1024

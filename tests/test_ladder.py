@@ -143,6 +143,18 @@ def test_evolve_and_propagator_reject_overflowing_phases():
                 fn(h, 1e307)
 
 
+def test_evolve_and_propagator_reject_phases_beyond_max_phase():
+    # At tau = 1e17 one ulp of sigma * tau exceeds a radian, so the
+    # probabilities at tau and at the next float are unrelated: a ValueError.
+    h = ladder_matrix(3, 5, 2)
+    for fn in (evolve, propagator):
+        for tau in (1e17, -1e17):
+            with pytest.raises(ValueError, match="finite"):
+                fn(h, tau)
+    # The largest phases the benchmark reaches (N = 1000, tau = 3) stay legal.
+    assert abs(emission_probabilities(ladder_matrix(6, 1000, 6), 3.0).sum() - 1.0) < 1e-12
+
+
 def _full_spectrum_amplitudes(h, t):
     # Reference: one eigendecomposition of the whole (N+1)-size ladder.
     w, v = eigh_tridiagonal(np.zeros(h.size), np.asarray(h.offdiag))

@@ -229,6 +229,21 @@ def test_fidelity_is_universal_over_inputs():
         assert values[0] == pytest.approx(closed_form_single(m, m + l, d), abs=1e-10)
 
 
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(d=st.integers(2, 6), m=st.integers(1, 3), l=st.integers(0, 4),
+       seed=st.integers(0, 2**32 - 1))
+def test_fidelities_are_universal_over_drawn_inputs(d, m, l, seed):
+    # Both fidelities equal their closed forms for any x, also one with
+    # zero amplitudes, whose clone keeps only some input rows live.
+    rng = np.random.default_rng(seed)
+    v = PureQudit.random(d, rng).x * (rng.random(d) < 0.7)
+    v[rng.integers(d)] += 1.0
+    x = PureQudit(v / np.linalg.norm(v))
+    out = clone_pure(x, m, l)
+    assert abs(fidelity_single(reduce_to_single(out), x) - closed_form_single(m, m + l, d)) < 1e-12
+    assert abs(fidelity_global(out, x) - closed_form_global(m, m + l, d)) < 1e-12
+
+
 def test_simulated_global_fidelity_matches_closed_form():
     rng = np.random.default_rng(39)
     for d, m, l in [(2, 2, 1), (3, 1, 1), (3, 2, 2)]:
