@@ -21,10 +21,8 @@ from .fock import (
 from .ladder import (
     EvolutionProfile,
     LadderHamiltonian,
-    emission_probabilities,
     evolve,
     ladder_matrix,
-    propagator,
 )
 from .cloner import (
     CloneOutput,
@@ -65,10 +63,8 @@ __all__ = [
     "log_factorial",
     "EvolutionProfile",
     "LadderHamiltonian",
-    "emission_probabilities",
     "evolve",
     "ladder_matrix",
-    "propagator",
     "CloneOutput",
     "PureQudit",
     "SymmetricDensity",

@@ -21,7 +21,7 @@ import numpy as np
 
 from .cloner import PureQudit, clone_basis_state, clone_pure
 from .fock import OccupationVector, enumerate_sector, sector_array
-from .ladder import MAX_LADDER_ATOMS, emission_probabilities, ladder_matrix
+from .ladder import MAX_LADDER_ATOMS, evolve, ladder_matrix
 from .oracle import verify_evolution, verify_ladder
 from .reduction import (
     closed_form_global,
@@ -201,7 +201,7 @@ def cmd_fidelity(args) -> int:
 
 
 def cmd_evolve(args) -> int:
-    probs = emission_probabilities(ladder_matrix(args.d, args.n, args.m), args.tau)
+    probs = evolve(ladder_matrix(args.d, args.n, args.m), args.tau).probabilities
     rows = [{"l": l, "probability": p} for l, p in enumerate(probs.tolist())]
     params = {"d": args.d, "m": args.m, "n": args.n, "tau": args.tau}
     document = {"command": "evolve", "params": params, "rows": rows}
@@ -243,11 +243,13 @@ def cmd_clone(args) -> int:
         params = {"d": args.j.d, "m": args.j.total(), "l": args.l,
                   "j": list(args.j), "x": None}
 
-    coefficients, a_index = out.nonzero_rows()
+    # One record per live input row and b-occupation, counted before any is formed.
+    size = np.count_nonzero(out.inputs) * len(out.b_basis)
     limit = MAX_CLONE_RECORDS * 6 // max(out.d, 6)
-    if coefficients.size > limit:
-        raise ValueError(f"clone listing too large: {coefficients.size} amplitude records > "
+    if size > limit:
+        raise ValueError(f"clone listing too large: {size} amplitude records > "
                          f"{limit}, the MAX_CLONE_RECORDS bound at d = {out.d}")
+    coefficients, a_index = out.nonzero_rows()
     rho1 = reduce_to_single(out) if out.L >= 1 else None
     fidelity = None if rho1 is None or x is None else fidelity_single(rho1, x)
     reduced = None if rho1 is None else [[[z.real, z.imag] for z in row]

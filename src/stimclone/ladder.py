@@ -16,12 +16,12 @@ bidiagonal B holds the couplings from even to odd rungs, and H^2 splits
 into the even block E = B B^T and the odd block F = B^T B (the pairing of
 Golub & Kahan, SIAM J. Numer. Anal. B 2, 205 (1965)).  Both are
 tridiagonal and half the size of H.  Their eigenvectors are the left and
-right singular vectors of B, and exp(-i H t) has the blocks
+right singular vectors of B.  Every run starts with no photon emitted, at
+the even rung l = 0, so only the first column of exp(-i H t) is needed,
+and it lies in the two blocks
 
     even -> even:  U cos(sigma t) U^T + u_0 u_0^T
-    even -> odd:   -i V sin(sigma t) U^T
-    odd  -> even:  -i U sin(sigma t) V^T
-    odd  -> odd:   V cos(sigma t) V^T,
+    even -> odd:   -i V sin(sigma t) U^T,
 
 where u_0 is the zero mode of E that exists when N is even (E has one row
 more than F then).  V is taken from its own eigendecomposition of F, not
@@ -93,15 +93,16 @@ def ladder_matrix(d: int, N: int, M: int, gamma: float = 1.0) -> LadderHamiltoni
     return LadderHamiltonian(d=d, N=N, M=M, gamma=float(gamma), offdiag=off)
 
 
-def _parity_spectrum(h: LadderHamiltonian, t: float):
-    """Singular vectors of the even-to-odd coupling B and their phases at time t.
+def evolve(h: LadderHamiltonian, t: float) -> EvolutionProfile:
+    """Amplitudes f_l(t) = <l| exp(-i H t) |0> of the emission ladder.
 
-    Returns (u, v, zero, cos, sin): u (even rungs) and v (odd rungs) hold
-    paired singular vectors in their columns, with B v_k = sigma_k u_k and
-    sigma_k >= 0; zero holds the null vector of E = B B^T as its one column
-    when N is even and has no column when N is odd; cos and sin are
-    cos(sigma t) and sin(sigma t).  Raises ValueError unless |sigma t| < MAX_PHASE
-    for every phase: t is inf or nan, or sigma t overflows or is too coarse.
+    From the two blocks in the module docstring, f on even l is
+    U (cos(sigma t) U[0]) + u_0 u_0[0], which is real, and f on odd l is
+    -i V (sin(sigma t) U[0]), which is imaginary.  Both are real
+    matrix-vector products on half-size eigenvectors of E = B B^T and
+    F = B^T B, with v_k paired to u_k by B v_k = sigma_k u_k.  Unitarity holds
+    to a few 1e-15.  Raises ValueError unless |sigma t| < MAX_PHASE for
+    every phase: t is inf or nan, or sigma t overflows or is too coarse.
     """
     from scipy.linalg import eigh_tridiagonal
 
@@ -128,41 +129,7 @@ def _parity_spectrum(h: LadderHamiltonian, t: float):
         sigma_t = np.abs(r) * t
     if not np.all(np.abs(sigma_t) < MAX_PHASE):
         raise ValueError(f"phases sigma * t must be finite and below {MAX_PHASE}, got t = {t}")
-    return u, v, zero, np.cos(sigma_t), np.sin(sigma_t)
-
-
-def propagator(h: LadderHamiltonian, t: float) -> np.ndarray:
-    """Unitary exp(-i H t) on the ladder, assembled from its four parity blocks.
-
-    See the module docstring for the blocks and for why the odd-rung
-    vectors come from F = B^T B rather than from B^T U.
-    """
-    u, v, zero, cos, sin = _parity_spectrum(h, t)
-    p = np.empty((h.size, h.size), dtype=complex)
-    p[0::2, 0::2] = (u * cos) @ u.T + zero @ zero.T
-    p[1::2, 1::2] = (v * cos) @ v.T
-    p[1::2, 0::2] = -1j * ((v * sin) @ u.T)
-    p[0::2, 1::2] = -1j * ((u * sin) @ v.T)
-    return p
-
-
-def evolve(h: LadderHamiltonian, t: float) -> EvolutionProfile:
-    """Amplitudes f_l(t) = <l| exp(-i H t) |0> of the emission ladder.
-
-    |0> is an even rung, so only the first column of the even-rung blocks
-    is needed: f on even l is U (cos(sigma t) U[0]) + u_0 u_0[0], which is
-    real, and f on odd l is -i V (sin(sigma t) U[0]), which is imaginary.
-    Both are real matrix-vector products on half-size eigenvectors of
-    E = B B^T and F = B^T B (see the module docstring).  Unitarity holds
-    to a few 1e-15.
-    """
-    u, v, zero, cos, sin = _parity_spectrum(h, t)
     f = np.zeros(h.size, dtype=complex)
-    f.real[0::2] = u @ (cos * u[0]) + zero @ zero[0]
-    f.imag[1::2] = -(v @ (sin * u[0]))
+    f.real[0::2] = u @ (np.cos(sigma_t) * u[0]) + zero @ zero[0]
+    f.imag[1::2] = -(v @ (np.sin(sigma_t) * u[0]))
     return EvolutionProfile(t=float(t), amplitudes=f)
-
-
-def emission_probabilities(h: LadderHamiltonian, t: float) -> np.ndarray:
-    """|f_l(t)|^2 for l = 0..N; sums to 1."""
-    return evolve(h, t).probabilities

@@ -423,6 +423,28 @@ def test_clone_rejects_oversized_listing_at_once(capsys):
         assert f"> {limit}," in err and "MAX_CLONE_RECORDS" in err
 
 
+def test_clone_counts_records_before_forming_them():
+    # 462 live input rows x 6,188 emission vectors = 2,858,856 records at d = 6.
+    # The count needs no coefficient or a-position, so the process peak stays
+    # near the 23 MB clone table.  ru_maxrss is in KiB on Linux.
+    script = (
+        "import resource\n"
+        "from stimclone.cli import main\n"
+        "try:\n"
+        "    main(['clone', '--x', '0.5,0.4,0.4,0.4,0.4,0.346', '--m', '6', '--l', '12'])\n"
+        "except SystemExit as exc:\n"
+        "    print(exc.code, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n"
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.path.abspath(SRC_DIR) + os.pathsep + env.get("PYTHONPATH", "")
+    result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                            env=env, check=True)
+    code, peak_kib = map(int, result.stdout.split())
+    assert code == 2
+    assert "2858856 amplitude records > 155000" in result.stderr
+    assert peak_kib < 120 * 1024
+
+
 def test_cli_import_and_fidelity_run_do_not_load_scipy():
     script = (
         "import contextlib, io, sys\n"

@@ -8,13 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import eigh_tridiagonal, expm
 
-from stimclone.ladder import (
-    MAX_LADDER_ATOMS,
-    emission_probabilities,
-    evolve,
-    ladder_matrix,
-    propagator,
-)
+from stimclone.ladder import MAX_LADDER_ATOMS, evolve, ladder_matrix
 from stimclone.oracle import build_full_hamiltonian, embed_clone_state
 
 
@@ -80,19 +74,8 @@ def test_unitarity_over_random_draws():
         n = int(rng.integers(1, 9))
         m = int(rng.integers(0, 5))
         t = float(rng.uniform(0.0, 10.0))
-        probs = emission_probabilities(ladder_matrix(d, n, m), t)
+        probs = evolve(ladder_matrix(d, n, m), t).probabilities
         assert abs(probs.sum() - 1.0) < 1e-10
-
-
-def test_forward_backward_evolution_recovers_start():
-    rng = np.random.default_rng(12)
-    for _ in range(10):
-        h = ladder_matrix(int(rng.integers(2, 4)), int(rng.integers(1, 7)), int(rng.integers(0, 4)))
-        t = float(rng.uniform(0.0, 8.0))
-        start = np.zeros(h.size)
-        start[0] = 1.0
-        roundtrip = propagator(h, -t) @ (propagator(h, t) @ start)
-        assert np.max(np.abs(roundtrip - start)) < 1e-9
 
 
 def test_two_mode_couplings_formula():
@@ -116,12 +99,12 @@ def test_amplitudes_depend_only_on_gamma_times_t():
 
 def test_emission_probabilities_boundary_values():
     h = ladder_matrix(2, 1, 1)
-    assert np.allclose(emission_probabilities(h, 0.0), [1.0, 0.0], atol=1e-15)
-    flipped = emission_probabilities(h, math.pi / (2 * math.sqrt(3)))
+    assert np.allclose(evolve(h, 0.0).probabilities, [1.0, 0.0], atol=1e-15)
+    flipped = evolve(h, math.pi / (2 * math.sqrt(3))).probabilities
     assert np.max(np.abs(flipped - np.array([0.0, 1.0]))) < 1e-12
     rng = np.random.default_rng(13)
     for _ in range(20):
-        probs = emission_probabilities(h, float(rng.uniform(-10, 10)))
+        probs = evolve(h, float(rng.uniform(-10, 10))).probabilities
         assert np.all(probs >= 0.0) and np.all(probs <= 1.0 + 1e-15)
 
 
@@ -133,26 +116,24 @@ def test_evolve_rejects_nonfinite_time():
         evolve(h, math.nan)
 
 
-def test_evolve_and_propagator_reject_overflowing_phases():
+def test_evolve_rejects_overflowing_phases():
     # sigma * t overflows to inf: a ValueError, not nan probabilities and a RuntimeWarning.
     h = ladder_matrix(6, 100, 6)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        for fn in (evolve, propagator):
-            with pytest.raises(ValueError, match="finite"):
-                fn(h, 1e307)
+        with pytest.raises(ValueError, match="finite"):
+            evolve(h, 1e307)
 
 
-def test_evolve_and_propagator_reject_phases_beyond_max_phase():
+def test_evolve_rejects_phases_beyond_max_phase():
     # At tau = 1e17 one ulp of sigma * tau exceeds a radian, so the
     # probabilities at tau and at the next float are unrelated: a ValueError.
     h = ladder_matrix(3, 5, 2)
-    for fn in (evolve, propagator):
-        for tau in (1e17, -1e17):
-            with pytest.raises(ValueError, match="finite"):
-                fn(h, tau)
+    for tau in (1e17, -1e17):
+        with pytest.raises(ValueError, match="finite"):
+            evolve(h, tau)
     # The largest phases the benchmark reaches (N = 1000, tau = 3) stay legal.
-    assert abs(emission_probabilities(ladder_matrix(6, 1000, 6), 3.0).sum() - 1.0) < 1e-12
+    assert abs(evolve(ladder_matrix(6, 1000, 6), 3.0).probabilities.sum() - 1.0) < 1e-12
 
 
 def _full_spectrum_amplitudes(h, t):
@@ -182,21 +163,11 @@ def test_evolve_matches_full_spectrum_reference_at_large_n(n, d, m, tau):
     assert abs(profile.probabilities.sum() - 1.0) <= 1e-12
 
 
-def test_propagator_matches_dense_expm_and_is_unitary():
-    for n in range(1, 13):
-        for d, m in ((2, 0), (3, 1), (6, 6)):
-            h = ladder_matrix(d, n, m)
-            for t in (-2.3, 0.7, 10.0):
-                p = propagator(h, t)
-                assert np.max(np.abs(p - expm(-1j * t * h.matrix()))) <= 1e-12
-                assert np.linalg.norm(p @ p.conj().T - np.eye(h.size), 2) <= 1e-12
-
-
 @settings(derandomize=True, deadline=None, max_examples=60)
 @given(d=st.integers(2, 6), n=st.integers(1, 64), m=st.integers(0, 6),
        t=st.floats(-10.0, 10.0, allow_nan=False))
 def test_evolve_is_unitary(d, n, m, t):
-    probs = emission_probabilities(ladder_matrix(d, n, m), t)
+    probs = evolve(ladder_matrix(d, n, m), t).probabilities
     assert abs(probs.sum() - 1.0) <= 1e-12
 
 

@@ -2,11 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import expm
 
 from stimclone import oracle
 from stimclone.fock import clone_coefficients, enumerate_sector, rank
-from stimclone.ladder import ladder_matrix
+from stimclone.ladder import evolve, ladder_matrix
 from stimclone.oracle import (
     build_full_hamiltonian,
     embed_clone_state,
@@ -14,6 +16,9 @@ from stimclone.oracle import (
     verify_evolution,
     verify_ladder,
 )
+from stimclone.reduction import closed_form_single
+
+from oracles import compositions, first_quantized_single_marginal, identical_expansion
 
 DESK_SECTORS = [
     (d, n, j)
@@ -199,3 +204,81 @@ def test_verify_ladder_rejects_a_skewed_clone_table(monkeypatch):
     report = verify_ladder(2, 2, (1, 0))
     assert report["pass"] is False
     assert {c["name"] for c in report["checks"] if not c["pass"]} == {"clone_table_match"}
+
+
+@st.composite
+def _advertised_sectors(draw):
+    # d = 4..6, as `fidelity` advertises, with at most 462 configurations
+    # (C(N+d, d), the (6, 5) sector), so a dense expm stays cheap.  N counts
+    # down from the largest such sector, which is what hypothesis tries first.
+    d = draw(st.integers(4, 6))
+    n_max = max(n for n in range(1, 9) if math.comb(n + d, d) <= 462)
+    n = n_max - draw(st.integers(0, n_max - 1))
+    j = draw(st.lists(st.integers(0, 2), min_size=d, max_size=d))
+    return d, n, tuple(j)
+
+
+@settings(derandomize=True, deadline=None, max_examples=4)
+@given(sector=_advertised_sectors(), t=st.floats(0.5, 5.0))
+def test_oracle_passes_at_the_advertised_dimension(sector, t):
+    d, n, j = sector
+    assert verify_ladder(d, n, j)["pass"]
+    assert verify_evolution(d, n, j, t=t)["pass"]
+
+
+def _evolved_clone_fidelities(x, m, n, t):
+    """(p_l, F_l) of the evolved x^(tensor M) with N excited atoms, l = 0..N.
+
+    Each input sector j starts in c_j |j, 0, N> and evolves under expm of its
+    full Hamiltonian.  The l = N - c configurations of all sectors form one
+    a x b state psi_l; p_l = |psi_l|^2, and F_l = <x| rho_1 |x> for the
+    one-copy marginal rho_1 of psi_l psi_l^dag / p_l.
+    """
+    d = len(x)
+    blocks = [{} for _ in range(n + 1)]
+    for j, c_j in identical_expansion(x, m).items():
+        basis, h = build_full_hamiltonian(d, n, j)
+        start = np.zeros(len(basis), dtype=complex)
+        start[basis.index(j, (0,) * d, n)] = c_j
+        for (a, b, c), z in zip(basis.states, expm(-1j * h * t) @ start):
+            blocks[n - c][tuple(a), tuple(b)] = z
+    p, f = np.zeros(n + 1), np.full(n + 1, np.nan)
+    for l, block in enumerate(blocks):
+        a_vectors = list(compositions(m + l, d))
+        a_pos = {a: i for i, a in enumerate(a_vectors)}
+        b_pos = {b: i for i, b in enumerate(compositions(l, d))}
+        psi = np.zeros((len(a_pos), len(b_pos)), dtype=complex)
+        for (a, b), z in block.items():
+            psi[a_pos[a], b_pos[b]] = z
+        p[l] = np.sum(np.abs(psi) ** 2)
+        if p[l] > 1e-12:
+            rho1 = first_quantized_single_marginal(psi @ psi.conj().T / p[l], a_vectors, d, m + l)
+            f[l] = np.vdot(x, rho1 @ x).real
+    return p, f
+
+
+def test_evolved_output_is_optimal_at_every_emission_count():
+    # The paper's claim end to end: the emitted number l is random, with the
+    # ladder's probabilities, yet every l-sector holds the optimal M -> M+l
+    # clone, so the l-averaged fidelity is the ladder-weighted closed form.
+    rng = np.random.default_rng(61)
+    worst_p = worst_f = worst_mean = 0.0
+    for d in (2, 3):
+        for m in (1, 2):
+            for n in (1, 2, 3):
+                x = rng.standard_normal(d) + 1j * rng.standard_normal(d)
+                x /= np.linalg.norm(x)
+                t = float(rng.uniform(0.0, 5.0))
+                p, f = _evolved_clone_fidelities(x, m, n, t)
+                ladder = evolve(ladder_matrix(d, n, m), t).probabilities
+                closed = np.array([closed_form_single(m, m + l, d) for l in range(n + 1)])
+                live = p > 1e-12
+                worst_p = max(worst_p, float(np.max(np.abs(p - ladder))))
+                worst_f = max(worst_f, float(np.max(np.abs(f[live] - closed[live]))))
+                worst_mean = max(worst_mean, abs(float(p[live] @ f[live] - ladder @ closed)))
+                # Negative control: a coupling skewed by 1e-6 is seen in p_l.
+                skewed = evolve(ladder_matrix(d, n, m, gamma=1 + 1e-6), t).probabilities
+                assert np.max(np.abs(p - skewed)) > 1e-9
+    assert worst_p <= 1e-12
+    assert worst_f <= 1e-12
+    assert worst_mean <= 1e-12
