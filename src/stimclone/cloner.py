@@ -19,6 +19,7 @@ from .fock import (
     OccupationVector,
     SectorBasis,
     clone_coefficients,
+    clone_shape,
     enumerate_sector,
     log_multinomials,
     rank,
@@ -107,9 +108,9 @@ class CloneOutput:
     An input sum_j c_j |J[j]> of the (d, M) sector J clones to
     sum_{j,k} c_j amp[j, k] |J[j] + K[k]>_a |K[k]>_b, with K = b_basis and amp
     the cached `fock.clone_coefficients(d, M, l)`.  Only c is stored, as
-    `inputs`.  `coefficients[..., j, k] = c_j amp[j, k]` holds all the nonzeros
-    (j -> J[j] + K[k] is one-to-one for each k); `nonzero_rows()` keeps its rows
-    with a nonzero input and ranks their J[j] + K[k].  Both are formed on access.
+    `inputs`; the constructors check the shape with `fock.clone_shape`, and amp
+    is built on first read.  `nonzero_rows()` forms c_j amp[j, k] on the rows
+    with a nonzero input and ranks their J[j] + K[k] in a_basis.
 
     A mixed output has one leading component axis: inputs[i] = sqrt(p_i) v_i
     for the eigenpairs (p_i, v_i) of the input, and the joint density is the
@@ -134,10 +135,6 @@ class CloneOutput:
     @property
     def b_basis(self) -> SectorBasis:
         return enumerate_sector(self.d, self.l)
-
-    @property
-    def coefficients(self) -> np.ndarray:
-        return self.inputs[..., None] * clone_coefficients(self.d, self.M, self.l)
 
     def nonzero_rows(self) -> tuple[np.ndarray, np.ndarray]:
         """(coefficients, a_index) on the input rows that are nonzero in any component.
@@ -171,7 +168,7 @@ def clone_basis_state(j, l: int) -> CloneOutput:
     is already normalized.
     """
     j = j if isinstance(j, OccupationVector) else OccupationVector(j)
-    c = np.zeros(len(clone_coefficients(j.d, j.total(), l)))  # also rejects an oversized shape
+    c = np.zeros(clone_shape(j.d, j.total(), l)[0])  # also rejects an oversized shape
     c[rank(j)] = 1.0
     return CloneOutput(j.d, j.total(), l, c)
 
@@ -190,7 +187,7 @@ def expand_identical(x: PureQudit, M: int) -> np.ndarray:
 
 def clone_pure(x: PureQudit, M: int, l: int) -> CloneOutput:
     """Clone M identical pure qudits, conditioned on l extra copies."""
-    clone_coefficients(x.d, M, l)  # rejects an oversized shape before any work
+    clone_shape(x.d, M, l)  # rejects an oversized shape before any work
     return CloneOutput(x.d, M, l, expand_identical(x, M))
 
 
@@ -204,7 +201,7 @@ def clone_mixed(rho: SymmetricDensity, l: int) -> CloneOutput:
     dropped and the kept ones renormalized.  Rank-1 inputs reproduce the
     pure-state clone up to a global phase.
     """
-    clone_coefficients(rho.d, rho.total, l)  # rejects an oversized shape before any work
+    clone_shape(rho.d, rho.total, l)  # rejects an oversized shape before any work
     evals, evecs = np.linalg.eigh(rho.matrix)
     if evals.min() < -PSD_TOLERANCE:
         raise ValueError(f"density matrix has negative eigenvalue {evals.min()!r}")

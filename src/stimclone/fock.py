@@ -159,6 +159,26 @@ def log_factorial(n: int) -> float:
     return _LOG_FACTORIAL_TABLE.item(n)
 
 
+def clone_shape(d: int, M: int, l: int) -> tuple[int, int]:
+    """(|J|, |K|) of the (d, M, l) clone table, by arithmetic alone.
+
+    Raises ValueError on an invalid shape, on M + l + d - 1 > MAX_FACTORIAL,
+    and when |J| x |K| > MAX_CLONE_ENTRIES, so no sector or table is formed.
+    """
+    if d < 2:
+        raise ValueError(f"qudit dimension must be >= 2, got {d}")
+    if M < 0:
+        raise ValueError(f"input photon number must be >= 0, got {M}")
+    if l < 0:
+        raise ValueError(f"number of additional copies must be >= 0, got {l}")
+    if M + l + d - 1 > MAX_FACTORIAL:
+        raise ValueError(f"factorial bound exceeded: {M + l + d - 1} > {MAX_FACTORIAL}")
+    n_j, n_k = math.comb(M + d - 1, d - 1), math.comb(l + d - 1, d - 1)
+    if n_j * n_k > MAX_CLONE_ENTRIES:
+        raise ValueError(f"clone table too large: {n_j * n_k} entries > {MAX_CLONE_ENTRIES}")
+    return n_j, n_k
+
+
 @cache
 def clone_coefficients(d: int, M: int, l: int) -> np.ndarray:
     """Every clone amplitude of the (d, M) input sector with l extra copies.
@@ -172,20 +192,10 @@ def clone_coefficients(d: int, M: int, l: int) -> np.ndarray:
     evaluated as exp of a log-factorial sum; it is non-negative and each row
     has unit norm.  It is summed one mode at a time from a (M+1) x (l+1) table
     of ln C(a+b, b), so no |J| x |K| x d array is formed; `rank(J[:, None], K)`
-    ranks J[j] + K[k] in the (d, M+l) sector.  Cached per shape.  Raises
-    ValueError before allocating when |J| x |K| > MAX_CLONE_ENTRIES.
+    ranks J[j] + K[k] in the (d, M+l) sector.  Cached per shape.  The bounds
+    are checked first, by `clone_shape`, so an oversized table allocates nothing.
     """
-    if d < 2:
-        raise ValueError(f"qudit dimension must be >= 2, got {d}")
-    if M < 0:
-        raise ValueError(f"input photon number must be >= 0, got {M}")
-    if l < 0:
-        raise ValueError(f"number of additional copies must be >= 0, got {l}")
-    if M + l + d - 1 > MAX_FACTORIAL:
-        raise ValueError(f"factorial bound exceeded: {M + l + d - 1} > {MAX_FACTORIAL}")
-    entries = math.comb(M + d - 1, d - 1) * math.comb(l + d - 1, d - 1)
-    if entries > MAX_CLONE_ENTRIES:
-        raise ValueError(f"clone table too large: {entries} entries > {MAX_CLONE_ENTRIES}")
+    clone_shape(d, M, l)
     j, k, lf = sector_array(d, M), sector_array(d, l), _LOG_FACTORIAL_TABLE
     # log_binom[a, b] = ln C(a+b, b).  The modes are summed in order from zero,
     # the order in which numpy sums an axis shorter than 8.

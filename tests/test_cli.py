@@ -1,3 +1,4 @@
+import contextlib
 import csv
 import io
 import json
@@ -9,6 +10,8 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stimclone.cli import MAX_CLONE_RECORDS, MAX_VERIFY_SAMPLES, main
 from stimclone.cloner import CloneOutput, PureQudit, clone_basis_state, clone_pure
@@ -425,15 +428,17 @@ def test_clone_rejects_oversized_listing_at_once(capsys):
 
 def test_clone_counts_records_before_forming_them():
     # 462 live input rows x 6,188 emission vectors = 2,858,856 records at d = 6.
-    # The count needs no coefficient or a-position, so the process peak stays
-    # near the 23 MB clone table.  ru_maxrss is in KiB on Linux.
+    # The count needs only the inputs and |K|, and no clone table is built, so
+    # the process peak stays near that of a small run.  VmHWM is the child's own
+    # peak in KiB; its ru_maxrss would also carry the peak of the process that
+    # spawned it, which Linux records at exec.
     script = (
-        "import resource\n"
         "from stimclone.cli import main\n"
         "try:\n"
         "    main(['clone', '--x', '0.5,0.4,0.4,0.4,0.4,0.346', '--m', '6', '--l', '12'])\n"
         "except SystemExit as exc:\n"
-        "    print(exc.code, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n"
+        "    peak = next(line for line in open('/proc/self/status') if line.startswith('VmHWM:'))\n"
+        "    print(exc.code, peak.split()[1])\n"
     )
     env = dict(os.environ)
     env["PYTHONPATH"] = os.path.abspath(SRC_DIR) + os.pathsep + env.get("PYTHONPATH", "")
@@ -442,7 +447,7 @@ def test_clone_counts_records_before_forming_them():
     code, peak_kib = map(int, result.stdout.split())
     assert code == 2
     assert "2858856 amplitude records > 155000" in result.stderr
-    assert peak_kib < 120 * 1024
+    assert peak_kib < 60 * 1024
 
 
 def test_cli_import_and_fidelity_run_do_not_load_scipy():
@@ -459,3 +464,57 @@ def test_cli_import_and_fidelity_run_do_not_load_scipy():
     env["PYTHONPATH"] = os.path.abspath(SRC_DIR) + os.pathsep + env.get("PYTHONPATH", "")
     result = subprocess.run([sys.executable, "-c", script], capture_output=True, env=env)
     assert result.returncode == 0, result.stderr.decode()
+
+
+@st.composite
+def _small_cli_args(draw):
+    command = draw(st.sampled_from(["fidelity", "clone", "evolve"]))
+    d = draw(st.integers(2, 4))
+    if command == "fidelity":
+        m = draw(st.integers(1, 2))
+        return ["fidelity", "--d", str(d), "--m", str(m), "--l-max", str(m + draw(st.integers(0, 2))),
+                "--seed", str(draw(st.integers(0, 2**32 - 1)))]
+    if command == "evolve":
+        return ["evolve", "--d", str(d), "--m", str(draw(st.integers(0, 6))),
+                "--n", str(draw(st.integers(1, 30))),
+                "--tau", repr(draw(st.floats(-10.0, 10.0, allow_nan=False)))]
+    parts = draw(st.lists(st.tuples(st.integers(-9, 9), st.integers(-9, 9)), min_size=d, max_size=d)
+                 .filter(lambda zs: any(z != (0, 0) for z in zs)))
+    return ["clone", "--x=" + ",".join(f"{re}{im:+d}i" for re, im in parts),
+            "--m", str(draw(st.integers(1, 3))), "--l", str(draw(st.integers(0, 3)))]
+
+
+def _csv_rows_from_json(report):
+    """The json values in the order of the csv cells of the same command."""
+    if report["command"] != "clone":
+        return [list(row.values()) for row in report["rows"]]
+    rows = [["amplitude", r["a"], r["b"], None, None, r["real"], r["imag"]]
+            for r in report["amplitudes"]]
+    rows += [["reduced", None, None, r, s, *z] for r, row in enumerate(report["reduced"] or ())
+             for s, z in enumerate(row)]
+    return rows + [["fidelity", None, None, None, None, report["fidelity"], None]]
+
+
+@settings(derandomize=True, deadline=None, max_examples=20)
+@given(argv=_small_cli_args())
+def test_csv_cells_and_json_values_are_the_same_numbers(argv):
+    outputs = []
+    for fmt in ("csv", "json"):
+        with contextlib.redirect_stdout(io.StringIO()) as out, \
+                contextlib.redirect_stderr(io.StringIO()):
+            assert main(argv + ["--format", fmt]) == 0
+        outputs.append(out.getvalue())
+    _, csv_rows = parse_csv(outputs[0])
+    json_rows = _csv_rows_from_json(json.loads(outputs[1]))
+    assert [len(row) for row in csv_rows] == [len(row) for row in json_rows]
+    for cells, values in zip(csv_rows, json_rows):
+        for cell, value in zip(cells, values):
+            if value is None:
+                assert cell == ""
+            elif isinstance(value, list):
+                assert [int(n) for n in cell.split(",")] == value
+            elif isinstance(value, str):
+                assert cell == value
+            else:
+                assert type(value)(cell) == value
+                assert float(repr(value)) == value

@@ -1,4 +1,5 @@
 import math
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -14,7 +15,7 @@ from stimclone.cloner import (
     clone_pure,
     expand_identical,
 )
-from stimclone.fock import enumerate_sector
+from stimclone.fock import clone_coefficients, clone_shape, enumerate_sector, sector_array
 
 from oracles import amplitude_squared, identical_expansion, random_density
 
@@ -81,8 +82,9 @@ def test_clone_outputs_store_inputs_and_have_unit_norm(d, m, l, seed):
             clone_mixed(rho, l))
     assert [out.inputs.shape for out in outs] == [(len(basis),), (len(basis),), (rank, len(basis))]
     for out in outs:
-        assert out.coefficients.shape[-2:] == (len(basis), math.comb(l + d - 1, d - 1))
-        assert abs(np.linalg.norm(out.coefficients) - 1.0) < 1e-12
+        coefficients = out.inputs[..., None] * clone_coefficients(d, m, l)
+        assert coefficients.shape[-2:] == (len(basis), math.comb(l + d - 1, d - 1))
+        assert abs(np.linalg.norm(coefficients) - 1.0) < 1e-12
 
 
 def test_nonzero_rows_keep_the_rows_of_nonzero_inputs():
@@ -101,8 +103,28 @@ def test_nonzero_rows_keep_the_rows_of_nonzero_inputs():
                 assert a_index[r, k] == out.a_basis.index(a_vec)
                 amp = math.sqrt(amplitude_squared(basis[j], b_vec))
                 assert np.max(np.abs(coefficients[..., r, k] - c * amp)) < 1e-15
-        dropped = np.delete(out.coefficients, live, axis=-2)
+        dropped = np.delete(out.inputs, live, axis=-1)
         assert not dropped.any()
+
+
+def test_constructors_check_the_shape_without_building_the_clone_table():
+    for d in (2, 3, 6):
+        for m in range(4):
+            for l in range(4):
+                assert clone_shape(d, m, l) == (len(sector_array(d, m)), len(sector_array(d, l)))
+    clone_coefficients.cache_clear()
+    clone_pure(PureQudit(np.array([0.6, 0.0, 0.8j])), 2, 3)
+    clone_basis_state((0, 2, 0), 3)
+    clone_mixed(SymmetricDensity.maximally_mixed(3, 2), 3)
+    assert clone_coefficients.cache_info().currsize == 0
+    # |J| = C(199, 5) alone is above the entry bound: rejected before the input is expanded.
+    v = np.array([0.5, 0.4, 0.4, 0.4, 0.4, 0.346])
+    x = PureQudit(v / np.linalg.norm(v))
+    for build in (lambda: clone_pure(x, 194, 0), lambda: clone_basis_state((194, 0, 0, 0, 0, 0), 0)):
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="clone table too large"):
+            build()
+        assert time.perf_counter() - start < 0.1
 
 
 def test_cloning_is_an_isometry_per_emission_sector():

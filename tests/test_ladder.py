@@ -4,9 +4,11 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.sparse
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import eigh_tridiagonal, expm
+from scipy.sparse.linalg import expm_multiply
 
 from stimclone.ladder import MAX_LADDER_ATOMS, evolve, ladder_matrix
 from stimclone.oracle import build_full_hamiltonian, embed_clone_state
@@ -161,6 +163,22 @@ def test_evolve_matches_full_spectrum_reference_at_large_n(n, d, m, tau):
     profile = evolve(h, tau)
     assert np.max(np.abs(profile.amplitudes - _full_spectrum_amplitudes(h, tau))) <= 1e-10
     assert abs(profile.probabilities.sum() - 1.0) <= 1e-12
+
+
+def test_evolve_matches_a_truncated_taylor_propagator():
+    # expm_multiply scales and truncates a Taylor series (Al-Mohy & Higham,
+    # SIAM J. Sci. Comput. 33, 488 (2011)); it solves no eigenproblem.
+    # t * ||H|| runs up to about 7e3 over these points.
+    worst = 0.0
+    for d, n, m, t in [(6, 200, 6, 3.0), (2, 60, 0, 2.0), (3, 120, 2, 1.3),
+                       (6, 1000, 6, 0.05), (4, 300, 1, -0.7)]:
+        h = ladder_matrix(d, n, m)
+        hamiltonian = scipy.sparse.diags([h.offdiag, h.offdiag], [-1, 1], format="csr")
+        start = np.zeros(h.size)
+        start[0] = 1.0
+        expected = expm_multiply(-1j * t * hamiltonian, start)
+        worst = max(worst, float(np.max(np.abs(evolve(h, t).amplitudes - expected))))
+    assert worst <= 1e-11
 
 
 @settings(derandomize=True, deadline=None, max_examples=60)

@@ -359,7 +359,7 @@ def test_mixed_clone_output_keeps_one_component_per_nonzero_eigenvalue():
     for rho, l in _mixed_inputs():
         out = clone_mixed(rho, l)
         rank = np.linalg.matrix_rank(rho.matrix)
-        assert out.coefficients.shape == (rank, len(rho.basis), len(out.b_basis))
+        assert out.inputs.shape == (rank, len(rho.basis))
 
 
 def test_trace_out_b_of_mixed_clone_matches_dense_partial_trace():
