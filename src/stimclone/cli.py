@@ -9,12 +9,14 @@ to stdout.  Machine formats always carry full round-trip precision.  All
 sampling is driven by --seed (default printed to stderr), so identical flags
 produce identical bytes.  Exit codes: 0 success, 1 check failure, 2 usage
 error, which covers every ValueError of the library, inputs above a declared
-bound and an --out path that cannot be written.
+bound and an --out path that cannot be written, and 141 (128 + SIGPIPE) when
+the reader of stdout closes it early, as with `| head`.
 """
 
 import argparse
 import csv
 import json
+import os
 import sys
 
 import numpy as np
@@ -318,10 +320,16 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.run(args)
+        code = args.run(args)
+        sys.stdout.flush()  # a closed pipe fails here, not in the flush at exit
+        return code
     except ValueError as exc:
         # Library preconditions surfacing from user-supplied values.
         parser.error(str(exc))
+    except BrokenPipeError:
+        # Send what is still buffered to devnull, so the flush at exit is silent.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
 
 
 if __name__ == "__main__":

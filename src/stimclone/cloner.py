@@ -11,7 +11,6 @@ l weighted by the emission probabilities from `stimclone.ladder`.
 """
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -115,8 +114,8 @@ class CloneOutput:
     A mixed output has one leading component axis: inputs[i] = sqrt(p_i) v_i
     for the eigenpairs (p_i, v_i) of the input, and the joint density is the
     sum of the components' projectors.  `amplitudes[..., p, q]` is the dense
-    view, the coefficient of |a_basis[p]>_a |b_basis[q]>_b, formed on first
-    access only.
+    view, the coefficient of |a_basis[p]>_a |b_basis[q]>_b, formed on each
+    access and not kept.
     """
 
     d: int
@@ -147,7 +146,7 @@ class CloneOutput:
         a_index = rank(sector_array(self.d, self.M)[live, None], sector_array(self.d, self.l))
         return self.inputs[..., live, None] * amp[live], a_index
 
-    @cached_property
+    @property
     def amplitudes(self) -> np.ndarray:
         coefficients, a_index = self.nonzero_rows()
         shape = self.inputs.shape[:-1] + (len(self.a_basis), len(self.b_basis))

@@ -46,13 +46,13 @@ MAX_PHASE = 2**32
 
 @dataclass(frozen=True)
 class LadderHamiltonian:
-    """Restriction of the cloning Hamiltonian to the emission ladder."""
+    """Restriction of the cloning Hamiltonian to the emission ladder, fixed by its N couplings."""
 
-    d: int
-    N: int
-    M: int
-    gamma: float
     offdiag: tuple[float, ...]
+
+    @property
+    def N(self) -> int:
+        return len(self.offdiag)
 
     @property
     def size(self) -> int:
@@ -71,7 +71,6 @@ class LadderHamiltonian:
 class EvolutionProfile:
     """Amplitudes f_l(t) for finding l additional copies at time t."""
 
-    t: float
     amplitudes: np.ndarray
 
     @property
@@ -90,7 +89,7 @@ def ladder_matrix(d: int, N: int, M: int, gamma: float = 1.0) -> LadderHamiltoni
     if not (math.isfinite(gamma) and gamma > 0):
         raise ValueError(f"coupling gamma must be positive and finite, got {gamma}")
     off = tuple(gamma * math.sqrt((l + 1) * (N - l) * (M + l + d)) for l in range(N))
-    return LadderHamiltonian(d=d, N=N, M=M, gamma=float(gamma), offdiag=off)
+    return LadderHamiltonian(off)
 
 
 def evolve(h: LadderHamiltonian, t: float) -> EvolutionProfile:
@@ -126,10 +125,10 @@ def evolve(h: LadderHamiltonian, t: float) -> EvolutionProfile:
     r += np.einsum("i,ik,ik->k", sub, u[1:], v[: n_even - 1])
     v *= np.where(r < 0.0, -1.0, 1.0)
     with np.errstate(over="ignore"):
-        sigma_t = np.abs(r) * t
+        sigma_t = np.abs(r) * float(t)
     if not np.all(np.abs(sigma_t) < MAX_PHASE):
         raise ValueError(f"phases sigma * t must be finite and below {MAX_PHASE}, got t = {t}")
     f = np.zeros(h.size, dtype=complex)
     f.real[0::2] = u @ (np.cos(sigma_t) * u[0]) + zero @ zero[0]
     f.imag[1::2] = -(v @ (np.sin(sigma_t) * u[0]))
-    return EvolutionProfile(t=float(t), amplitudes=f)
+    return EvolutionProfile(f)

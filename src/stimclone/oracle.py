@@ -22,9 +22,9 @@ import numpy as np
 from .fock import OccupationVector, clone_coefficients, enumerate_sector, rank
 from .ladder import evolve, ladder_matrix
 
-# Soft cap on the dense sector dimension; desk-scale verification uses a few
+# Cap on the dense sector dimension; desk-scale verification uses a few
 # dozen states.
-DEFAULT_MAX_DIM = 4096
+MAX_SECTOR_DIM = 4096
 
 LADDER_ACTION_TOL = 1e-10
 OFF_LADDER_TOL = 1e-10
@@ -80,7 +80,7 @@ class FullSectorBasis:
         return e
 
 
-def full_sector_basis(d: int, N: int, j, max_dim: int = DEFAULT_MAX_DIM) -> FullSectorBasis:
+def full_sector_basis(d: int, N: int, j) -> FullSectorBasis:
     """Enumerate the conserved sector for input label j and N excited atoms."""
     j = j if isinstance(j, OccupationVector) else OccupationVector(j)
     if d != j.d:
@@ -88,8 +88,8 @@ def full_sector_basis(d: int, N: int, j, max_dim: int = DEFAULT_MAX_DIM) -> Full
     if N < 1:
         raise ValueError(f"number of excited atoms must be >= 1, got {N}")
     size = sum(math.comb(l + d - 1, d - 1) for l in range(N + 1))
-    if size > max_dim:
-        raise ValueError(f"sector dimension {size} exceeds the configured limit {max_dim}")
+    if size > MAX_SECTOR_DIM:
+        raise ValueError(f"sector dimension {size} exceeds the limit {MAX_SECTOR_DIM}")
     states = []
     for l in range(N + 1):
         for k in enumerate_sector(d, l):
@@ -98,16 +98,15 @@ def full_sector_basis(d: int, N: int, j, max_dim: int = DEFAULT_MAX_DIM) -> Full
     return FullSectorBasis(d=d, N=N, j=j, states=tuple(states))
 
 
-def build_full_hamiltonian(
-    d: int, N: int, j, gamma: float = 1.0, max_dim: int = DEFAULT_MAX_DIM
-) -> tuple[FullSectorBasis, np.ndarray]:
+def build_full_hamiltonian(d: int, N: int, j,
+                           gamma: float = 1.0) -> tuple[FullSectorBasis, np.ndarray]:
     """Dense sector Hamiltonian gamma (A^dag + A) from the raw emission operator.
 
     Each mode i contributes the photon-emitting term a_i^dag b_i^dag c with
     amplitude sqrt((n_{a_i}+1)(n_{b_i}+1) n_c), plus its conjugate.  Nothing
     from the closed-form cloning coefficients enters the construction.
     """
-    basis = full_sector_basis(d, N, j, max_dim=max_dim)
+    basis = full_sector_basis(d, N, j)
     e = basis.emission
     return basis, gamma * (e + e.T)
 

@@ -41,6 +41,8 @@ import numpy as np
 from .cloner import CloneOutput, PureQudit, SymmetricDensity, expand_identical
 from .fock import clone_coefficients, rank, sector_array
 
+ISOTROPY_TOL = 1e-9
+
 
 @dataclass(frozen=True)
 class SingleQuditDensity:
@@ -157,20 +159,19 @@ def closed_form_single(M: int, L: int, d: int) -> float:
 
 
 def closed_form_global(M: int, L: int, d: int) -> float:
-    """Optimal L-copy fidelity L!(M+d-1)! / (M!(L+d-1)!), exact rational."""
+    """Optimal L-copy fidelity d[M] / d[L], exact rational, with d[n] = C(n+d-1, d-1) the
+    symmetric-subspace dimension of n qudits (Werner, Phys. Rev. A 58, 1827 (1998))."""
     _check_cloning_shape(M, L, d)
-    num = math.factorial(L) * math.factorial(M + d - 1)
-    den = math.factorial(M) * math.factorial(L + d - 1)
-    return float(Fraction(num, den))
+    return float(Fraction(math.comb(M + d - 1, d - 1), math.comb(L + d - 1, d - 1)))
 
 
 @dataclass(frozen=True)
 class ShrinkingFit:
     """Least-squares fit of rho_out = eta * rho_in + (1 - eta) * I/d.
 
-    `isotropic` is True when the residual clears the gate; otherwise `eta` is
-    still the best-fit value and `residual` says how far from isotropic the
-    pair is.
+    `isotropic` is True when the residual is below ISOTROPY_TOL; otherwise
+    `eta` is still the best-fit value and `residual` says how far from
+    isotropic the pair is.
     """
 
     eta: float
@@ -178,15 +179,12 @@ class ShrinkingFit:
     isotropic: bool
 
 
-def shrinking_factor(
-    rho_in_1: SingleQuditDensity,
-    rho_out_1: SingleQuditDensity,
-    residual_tol: float = 1e-9,
-) -> ShrinkingFit:
+def shrinking_factor(rho_in_1: SingleQuditDensity, rho_out_1: SingleQuditDensity) -> ShrinkingFit:
     """Fit the isotropic-shrinking model between one-qudit input and output.
 
     Both traceless parts are compared entrywise: eta minimizes the Frobenius
-    norm of (rho_out - I/d) - eta (rho_in - I/d).
+    norm of (rho_out - I/d) - eta (rho_in - I/d).  A fully mixed input fits
+    with any eta and reports eta = 0.
     """
     if rho_in_1.d != rho_out_1.d:
         raise ValueError("input and output reduced densities have different dimensions")
@@ -195,10 +193,6 @@ def shrinking_factor(
     a = rho_in_1.matrix - identity
     b = rho_out_1.matrix - identity
     norm_a_sq = np.vdot(a, a).real
-    if norm_a_sq < 1e-24:
-        # Fully mixed input: the model fits with any eta; report eta = 0.
-        residual = float(np.linalg.norm(b))
-        return ShrinkingFit(eta=0.0, residual=residual, isotropic=residual < residual_tol)
-    eta = float(np.vdot(a, b).real / norm_a_sq)
+    eta = 0.0 if norm_a_sq < 1e-24 else float(np.vdot(a, b).real / norm_a_sq)
     residual = float(np.linalg.norm(b - eta * a))
-    return ShrinkingFit(eta=eta, residual=residual, isotropic=residual < residual_tol)
+    return ShrinkingFit(eta=eta, residual=residual, isotropic=residual < ISOTROPY_TOL)

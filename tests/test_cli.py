@@ -450,6 +450,24 @@ def test_clone_counts_records_before_forming_them():
     assert peak_kib < 60 * 1024
 
 
+def test_closed_stdout_ends_quietly():
+    # The csv is 408 KB, far above a 64 KiB pipe buffer, so a write after the
+    # reader has closed always fails.  The CLI then exits as SIGPIPE would stop
+    # it, with status 128 + 13 and no traceback.
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.path.abspath(SRC_DIR) + os.pathsep + env.get("PYTHONPATH", "")
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "stimclone", "clone", "--d", "6", "--j", "6,0,0,0,0,0", "--l", "12"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    assert proc.stdout.readline().startswith(b"record,")
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 141
+    assert err == b""
+
+
 def test_cli_import_and_fidelity_run_do_not_load_scipy():
     script = (
         "import contextlib, io, sys\n"

@@ -220,13 +220,17 @@ def test_clone_coefficients_reject_oversized_tables_before_allocating():
 
 def test_clone_coefficients_build_stays_near_the_result_size():
     # The (6, 6, 12) table holds 2,858,856 floats (23 MB); building it must
-    # not form |J| x |K| x d temporaries.  ru_maxrss is in KiB on Linux.
+    # not form |J| x |K| x d temporaries.  VmHWM is the child's own peak in KiB;
+    # its ru_maxrss would start at the peak of the process that spawned it,
+    # which Linux records at exec, and so read no rise inside a large run.
     script = (
-        "import resource\n"
         "from stimclone.fock import clone_coefficients\n"
-        "before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+        "def peak():\n"
+        "    line = next(line for line in open('/proc/self/status') if line.startswith('VmHWM:'))\n"
+        "    return int(line.split()[1])\n"
+        "before = peak()\n"
         "clone_coefficients(6, 6, 12)\n"
-        "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before)\n"
+        "print(peak() - before)\n"
     )
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(stimclone.__file__)))
     result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,

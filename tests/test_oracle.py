@@ -69,7 +69,7 @@ def test_full_hamiltonian_is_exactly_hermitian():
 
 def test_sector_size_limit():
     with pytest.raises(ValueError):
-        full_sector_basis(3, 3, (1, 1, 0), max_dim=5)
+        full_sector_basis(3, 28, (1, 1, 0))
 
 
 def test_embed_clone_state_bounds():
