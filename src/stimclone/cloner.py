@@ -46,7 +46,7 @@ class PureQudit:
         if not np.all(np.isfinite(x)):
             raise ValueError("pure qudit amplitudes must be finite")
         if abs(np.vdot(x, x).real - 1.0) > _NORM_TOL:
-            raise ValueError(f"pure qudit is not normalized: |x|^2 = {np.vdot(x, x).real!r}")
+            raise ValueError(f"pure qudit is not normalized: |x|^2 = {float(np.vdot(x, x).real)}")
         object.__setattr__(self, "x", x)
 
     @property
@@ -83,7 +83,7 @@ class SymmetricDensity:
         if np.max(np.abs(mat - mat.conj().T)) > _HERMITICITY_TOL:
             raise ValueError("density matrix is not Hermitian")
         if abs(np.trace(mat).real - 1.0) > _TRACE_TOL:
-            raise ValueError(f"density matrix trace is {np.trace(mat).real!r}, expected 1")
+            raise ValueError(f"density matrix trace is {float(np.trace(mat).real)}, expected 1")
         object.__setattr__(self, "matrix", mat)
 
     @property
@@ -166,7 +166,7 @@ def clone_basis_state(j, l: int) -> CloneOutput:
     The result is sum_k amp(j, k) |j+k>_a |k>_b over all k of total l, which
     is already normalized.
     """
-    j = j if isinstance(j, OccupationVector) else OccupationVector(j)
+    j = OccupationVector(j)
     c = np.zeros(clone_shape(j.d, j.total(), l)[0])  # also rejects an oversized shape
     c[rank(j)] = 1.0
     return CloneOutput(j.d, j.total(), l, c)
@@ -203,7 +203,7 @@ def clone_mixed(rho: SymmetricDensity, l: int) -> CloneOutput:
     clone_shape(rho.d, rho.total, l)  # rejects an oversized shape before any work
     evals, evecs = np.linalg.eigh(rho.matrix)
     if evals.min() < -PSD_TOLERANCE:
-        raise ValueError(f"density matrix has negative eigenvalue {evals.min()!r}")
+        raise ValueError(f"density matrix has negative eigenvalue {float(evals.min())}")
     # Eigenvalues below the numerical-rank cutoff (as in matrix_rank) are round-off.
     keep = evals > len(evals) * np.finfo(float).eps * evals.max()
     components = np.sqrt(evals[keep] / evals[keep].sum()) * evecs[:, keep]  # sqrt(p_i) v_i

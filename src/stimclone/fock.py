@@ -75,7 +75,7 @@ class SectorBasis:
 
     def index(self, vec) -> int:
         """Position of `vec` in the canonical enumeration."""
-        key = vec if isinstance(vec, OccupationVector) else OccupationVector(vec)
+        key = OccupationVector(vec)
         if len(key) != self.d or key.total() != self.total:
             raise ValueError(f"{tuple(key)} is not in the (d={self.d}, total={self.total}) sector")
         return int(rank(key))
@@ -116,6 +116,10 @@ def sector_array(d: int, total: int) -> np.ndarray:
     if total < 0:
         raise ValueError(f"total photon number must be >= 0, got {total}")
     size = math.comb(total + d - 1, d - 1)
+    # Every a-occupation of a clone splits as j + k, so |A| <= |J| x |K|: each sector
+    # a clone output reads fits this bound, and oracle sectors hold at most 4,096.
+    if size > MAX_CLONE_ENTRIES:
+        raise ValueError(f"sector too large: {size} vectors > {MAX_CLONE_ENTRIES}")
     bars = np.full((size, d + 1), -1, dtype=np.int64)
     bars[:, -1] = total + d - 1
     bars[::-1, 1:-1] = np.fromiter(chain.from_iterable(combinations(range(total + d - 1), d - 1)),

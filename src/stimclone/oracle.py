@@ -82,7 +82,7 @@ class FullSectorBasis:
 
 def full_sector_basis(d: int, N: int, j) -> FullSectorBasis:
     """Enumerate the conserved sector for input label j and N excited atoms."""
-    j = j if isinstance(j, OccupationVector) else OccupationVector(j)
+    j = OccupationVector(j)
     if d != j.d:
         raise ValueError(f"input label has {j.d} modes, expected d={d}")
     if N < 1:
@@ -155,7 +155,7 @@ def verify_ladder(d: int, N: int, j, gamma: float = 1.0, perturbation: float = 0
     Returns a JSON-ready report; failures are carried in the report rather
     than raised.
     """
-    j = j if isinstance(j, OccupationVector) else OccupationVector(j)
+    j = OccupationVector(j)
     basis, h = build_full_hamiltonian(d, N, j, gamma)
     reference = ladder_matrix(d, N, j.total(), gamma * (1.0 + perturbation))
     embedded = np.column_stack([embed_clone_state(basis, l) for l in range(N + 1)])
@@ -205,7 +205,7 @@ def verify_evolution(d: int, N: int, j, gamma: float = 1.0, t: float = 1.0,
     """
     from scipy.linalg import expm
 
-    j = j if isinstance(j, OccupationVector) else OccupationVector(j)
+    j = OccupationVector(j)
     basis, h = build_full_hamiltonian(d, N, j, gamma)
     embedded = np.column_stack([embed_clone_state(basis, l) for l in range(N + 1)])
     evolved = expm(-1j * h * t) @ embedded[:, 0]

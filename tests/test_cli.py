@@ -265,6 +265,8 @@ def test_clone_usage_errors(capsys):
         ["clone", "--j", "1,0", "--l", "-1"],
         ["clone", "--j", "300,0", "--l", "1"],  # factorial bound
         ["clone", "--x", "inf,1", "--m", "1", "--l", "1"],
+        ["clone", "--x", "nan,1", "--m", "1", "--l", "1"],
+        ["clone", "--x", "1e999,1", "--m", "1", "--l", "1"],
         ["clone", "--x", "1", "--m", "1", "--l", "1"],
     ):
         with pytest.raises(SystemExit) as exc:
@@ -293,6 +295,17 @@ def test_verify_csv_format(capsys):
     header, rows = parse_csv(out)
     assert header == ["name", "max_deviation", "tolerance", "pass"]
     assert all(r[3] == "True" for r in rows)
+
+
+def test_verify_json_flag_is_format_json(capsys):
+    argv = ["verify", "--samples", "3"]
+    _, json_out, _ = run_cli(capsys, argv + ["--format", "json"])
+    json.loads(json_out)
+    assert run_cli(capsys, argv + ["--json"])[1] == json_out
+    # One setting, so the last of the two flags wins.
+    _, csv_out, _ = run_cli(capsys, argv + ["--format", "csv"])
+    assert run_cli(capsys, argv + ["--json", "--format", "csv"])[1] == csv_out
+    assert run_cli(capsys, argv + ["--format", "csv", "--json"])[1] == json_out
 
 
 def test_verify_negative_control(capsys):

@@ -279,6 +279,17 @@ def test_pure_qudit_rejects_non_finite_amplitudes():
             PureQudit(np.array([bad, 1.0]))
 
 
+def test_validation_messages_print_plain_numbers():
+    basis = enumerate_sector(2, 1)
+    for build, value in ((lambda: PureQudit(np.ones(2)), "2.0"),
+                         (lambda: SymmetricDensity(basis, np.eye(2)), "2.0"),
+                         (lambda: clone_mixed(SymmetricDensity(basis, np.diag([1.5, -0.5])), 1),
+                          "-0.5")):
+        with pytest.raises(ValueError) as exc:
+            build()
+        assert value in str(exc.value) and "np." not in str(exc.value), str(exc.value)
+
+
 def test_symmetric_density_rejects_non_finite_entries():
     basis = enumerate_sector(2, 1)
     with pytest.raises(ValueError):

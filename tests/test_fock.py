@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import stimclone
-from stimclone.cloner import clone_basis_state
+from stimclone.cloner import PureQudit, clone_basis_state, expand_identical
 from stimclone.fock import (
     MAX_CLONE_ENTRIES,
     MAX_FACTORIAL,
@@ -70,6 +70,18 @@ def test_enumerate_rejects_bad_arguments():
         enumerate_sector(1, 3)
     with pytest.raises(ValueError):
         enumerate_sector(2, -1)
+
+
+def test_oversized_sectors_fail_before_allocating():
+    # C(10005, 5) ~ 8.4e17, C(125, 5) ~ 2.3e8 and C(1003, 3) ~ 1.7e8 vectors, all far
+    # above MAX_CLONE_ENTRIES; building any of them would take GBs or minutes.
+    x = PureQudit(np.full(4, 0.5))
+    for build in (lambda: enumerate_sector(6, 10_000), lambda: enumerate_sector(6, 120),
+                  lambda: sector_array(4, 1000), lambda: expand_identical(x, 1000)):
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="sector too large"):
+            build()
+        assert time.perf_counter() - start < 0.1
 
 
 def test_sector_sizes_match_binomial():
