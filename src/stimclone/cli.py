@@ -7,15 +7,19 @@ row dicts its json embeds, or for `clone` only the form its output needs.
 --out PATH with a short human-readable table (6 significant digits) echoed
 to stdout.  Machine formats always carry full round-trip precision.  All
 sampling is driven by --seed (default printed to stderr), so identical flags
-produce identical bytes.  Exit codes: 0 success, 1 check failure, 2 usage
-error, which covers every ValueError of the library, inputs above a declared
-bound and an --out path that cannot be written, and 141 (128 + SIGPIPE) when
-the reader of stdout closes it early, as with `| head`.
+produce identical bytes.  A json document is one line, written by the json
+module's C encoder (`python -m json.tool` indents it); it is no longer
+byte-identical to the indented json of earlier releases, but parses to the
+same document.  Exit codes: 0 success, 1 check failure, 2 usage error, which
+covers every ValueError of the library, inputs above a declared bound and an
+--out path that cannot be written, and 141 (128 + SIGPIPE) when the reader of
+stdout closes it early, as with `| head`.
 """
 
 import argparse
 import csv
 import json
+import math
 import os
 import sys
 
@@ -42,12 +46,12 @@ VERIFY_N_MAX = 3
 VERIFY_M_MAX = 2
 VERIFY_T_MAX = 5.0
 PERTURBATION_SIZE = 1e-6
-# Largest --samples: `verify --samples 10000 --json` took 5.2 s and peaked at
-# 88 MB on a 2-vCPU VM (about 0.5 ms and 3 KB of report per draw).
+# Largest --samples: `verify --samples 10000 --json` took 4.3-4.5 s and peaked
+# at 88 MB on a 2-vCPU VM (about 0.4 ms and 3 KB of report per draw).
 MAX_VERIFY_SAMPLES = 10_000
 # Largest number of amplitude records `clone` lists.  json output costs about
-# 2.8 KB per record at d = 6: `clone --j 1,0,0,0,0,0 --l 25 --format json`
-# (142,506 records) peaked at 435 MB on a 2-vCPU VM, csv at 167 MB.  A record
+# 1.1 KB per record at d = 6: `clone --j 1,0,0,0,0,0 --l 25 --format json`
+# (142,506 records) peaked at 186 MB on a 2-vCPU VM, csv at 156 MB.  A record
 # lists 2d occupation numbers, so above d = 6 the bound shrinks by 6/d.
 MAX_CLONE_RECORDS = 155_000
 
@@ -143,7 +147,7 @@ def _emit(args, header, rows, document, human=None) -> None:
 
     def write(fh):
         if args.format == "json":
-            print(json.dumps(document, indent=2), file=fh)
+            print(json.dumps(document), file=fh)
         else:
             csv.writer(fh, lineterminator="\n").writerows([header, *rows])
 
@@ -224,7 +228,7 @@ def cmd_clone(args) -> int:
     if args.x is not None:
         if args.m is None:
             raise ValueError("--x requires --m")
-        norm = float(np.linalg.norm(args.x))
+        norm = math.hypot(*args.x.real, *args.x.imag)
         if norm == 0.0:
             raise ValueError("--x must not be the zero vector")
         with np.errstate(invalid="ignore"):  # a nan or inf --x is PureQudit's to reject

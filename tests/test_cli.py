@@ -171,6 +171,20 @@ def test_clone_accepts_complex_components(capsys):
     assert report["fidelity"] == pytest.approx(3 / 4, abs=1e-12)
 
 
+@pytest.mark.parametrize("x", ["1e300,1e300", "1e-170,1e-170"])
+def test_clone_normalizes_x_far_from_unit_length(capsys, x):
+    # Squaring 1e300 overflows and squaring 1e-170 underflows; the norm must do neither.
+    def report(text):
+        code, out, _ = run_cli(capsys, ["clone", "--x", text, "--m", "1", "--l", "1",
+                                        "--format", "json"])
+        assert code == 0
+        doc = json.loads(out)
+        return np.concatenate([np.ravel(doc["params"]["x"]), np.ravel(doc["reduced"]),
+                               [doc["fidelity"]]])
+
+    np.testing.assert_allclose(report(x), report("1,1"), rtol=0, atol=1e-15)
+
+
 def test_clone_mixed_mode_basis_input_has_no_reference_fidelity(capsys):
     code, out, _ = run_cli(capsys, ["clone", "--j", "1,1", "--l", "1", "--format", "json"])
     assert code == 0
@@ -461,6 +475,28 @@ def test_clone_counts_records_before_forming_them():
     assert code == 2
     assert "2858856 amplitude records > 155000" in result.stderr
     assert peak_kib < 60 * 1024
+
+
+def test_clone_json_listing_is_one_line_near_the_result_size():
+    # 21 x 2,530 = 53,130 amplitude records at d = 6.  The document is written
+    # on one line by json's C encoder; with the indented pure-Python encoder
+    # this run peaked at about 185 MiB.  VmHWM is the child's own peak in KiB.
+    script = (
+        "import sys\n"
+        "from stimclone.cli import main\n"
+        "code = main(['clone', '--j', '1,0,0,0,0,0', '--l', '20', '--format', 'json'])\n"
+        "peak = next(line for line in open('/proc/self/status') if line.startswith('VmHWM:'))\n"
+        "print(code, peak.split()[1], file=sys.stderr)\n"
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.path.abspath(SRC_DIR) + os.pathsep + env.get("PYTHONPATH", "")
+    result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                            env=env, check=True)
+    code, peak_kib = map(int, result.stderr.split())
+    assert code == 0
+    assert result.stdout.count("\n") == 1 and result.stdout.endswith("}\n")
+    assert len(json.loads(result.stdout)["amplitudes"]) == 53_130
+    assert peak_kib < 140 * 1024
 
 
 def test_closed_stdout_ends_quietly():
