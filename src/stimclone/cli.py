@@ -228,11 +228,16 @@ def cmd_clone(args) -> int:
     if args.x is not None:
         if args.m is None:
             raise ValueError("--x requires --m")
-        norm = math.hypot(*args.x.real, *args.x.imag)
+        # Scale the parts by a power of two, exactly, so the largest lies in
+        # [0.5, 1): the norm is then neither above the largest float nor so
+        # small that dividing by it overflows.
+        parts = args.x.view(float)
+        scaled = np.ldexp(parts, -math.frexp(np.max(np.abs(parts)))[1]).view(complex)
+        norm = math.hypot(*scaled.real, *scaled.imag)
         if norm == 0.0:
             raise ValueError("--x must not be the zero vector")
         with np.errstate(invalid="ignore"):  # a nan or inf --x is PureQudit's to reject
-            x = PureQudit(args.x / norm)
+            x = PureQudit(scaled / norm)
         out = clone_pure(x, args.m, args.l)
         params = {"d": x.d, "m": args.m, "l": args.l, "j": None,
                   "x": [[z.real, z.imag] for z in x.x]}

@@ -5,12 +5,14 @@ per mode and n_c + sum_i n_{b_i}.  Fixing the input label j and the atom
 number N therefore pins the reachable configurations to one finite sector,
 on which the emission operator A^dag = sum_i a_i^dag b_i^dag c is built
 densely from nothing but the raw raising/lowering amplitudes sqrt(n+1) and
-sqrt(n).  The Hamiltonian is gamma (A^dag + A), and the l-th clone state is
-A^dag^l |j, 0, N>, normalized.  The ladder matrix, the cloning coefficients
-and the evolution amplitudes are then re-derived here with no shared code
-path, which is what makes this module an oracle for the rest of the package:
-`clone_coefficients` and the ladder module are only read as the references
-being checked.
+sqrt(n).  The oracle runs at gamma = 1, where the Hamiltonian is A^dag + A
+(any other gamma only rescales it, and time with it).  The clone states
+F_l = A^dag^l |j, 0, N>, normalized, are built once per sector as the
+columns of `FullSectorBasis.clone_states`.  The ladder matrix, the cloning
+coefficients and the evolution amplitudes are then re-derived here with no
+shared code path, which is what makes this module an oracle for the rest of
+the package: `clone_coefficients` and the ladder module are only read as the
+references being checked.
 """
 
 import math
@@ -79,6 +81,24 @@ class FullSectorBasis:
         e.setflags(write=False)
         return e
 
+    @cached_property
+    def clone_states(self) -> np.ndarray:
+        """The clone states F_l = A^dag^l |j, 0, N>, normalized, as columns l = 0..N.
+
+        Built in one pass from column 0, |j, 0, N>, the first configuration:
+        each next column is `emission` applied to the last, normalized.
+        """
+        vec = np.zeros(len(self))
+        vec[0] = 1.0
+        columns = [vec]
+        for _ in range(self.N):
+            vec = self.emission @ vec
+            vec /= np.linalg.norm(vec)
+            columns.append(vec)
+        f = np.column_stack(columns)
+        f.setflags(write=False)
+        return f
+
 
 def full_sector_basis(d: int, N: int, j) -> FullSectorBasis:
     """Enumerate the conserved sector for input label j and N excited atoms."""
@@ -98,9 +118,8 @@ def full_sector_basis(d: int, N: int, j) -> FullSectorBasis:
     return FullSectorBasis(d=d, N=N, j=j, states=tuple(states))
 
 
-def build_full_hamiltonian(d: int, N: int, j,
-                           gamma: float = 1.0) -> tuple[FullSectorBasis, np.ndarray]:
-    """Dense sector Hamiltonian gamma (A^dag + A) from the raw emission operator.
+def build_full_hamiltonian(d: int, N: int, j) -> tuple[FullSectorBasis, np.ndarray]:
+    """Dense sector Hamiltonian A^dag + A (gamma = 1) from the raw emission operator.
 
     Each mode i contributes the photon-emitting term a_i^dag b_i^dag c with
     amplitude sqrt((n_{a_i}+1)(n_{b_i}+1) n_c), plus its conjugate.  Nothing
@@ -108,23 +127,18 @@ def build_full_hamiltonian(d: int, N: int, j,
     """
     basis = full_sector_basis(d, N, j)
     e = basis.emission
-    return basis, gamma * (e + e.T)
+    return basis, e + e.T
 
 
 def embed_clone_state(basis: FullSectorBasis, l: int) -> np.ndarray:
     """Coordinates of the l-th cloning output state in the full sector basis.
 
-    The state is A^dag^l |j, 0, N>, normalized after each application of
-    `basis.emission`; the clone formula is not used.
+    Column l of `basis.clone_states`: A^dag^l |j, 0, N>, normalized after each
+    application of `basis.emission`; the clone formula is not used.
     """
     if not 0 <= l <= basis.N:
         raise ValueError(f"emission count l={l} outside 0..{basis.N}")
-    vec = np.zeros(len(basis))
-    vec[basis.index(basis.j, (0,) * basis.d, basis.N)] = 1.0
-    for _ in range(l):
-        vec = basis.emission @ vec
-        vec /= np.linalg.norm(vec)
-    return vec
+    return basis.clone_states[:, l]
 
 
 def _check(name: str, deviation: float, tolerance: float) -> dict:
@@ -136,88 +150,67 @@ def _check(name: str, deviation: float, tolerance: float) -> dict:
     }
 
 
-def _report(params: dict, checks: list[dict]) -> dict:
-    return {"params": params, "checks": checks, "pass": all(c["pass"] for c in checks)}
+def _report(checks: list[dict]) -> dict:
+    return {"checks": checks, "pass": all(c["pass"] for c in checks)}
 
 
-def verify_ladder(d: int, N: int, j, gamma: float = 1.0, perturbation: float = 0.0) -> dict:
+def verify_ladder(d: int, N: int, j, perturbation: float = 0.0) -> dict:
     """Check the ladder structure of the full Hamiltonian on one sector.
 
-    Embeds each cloning output state, applies the full Hamiltonian, and
-    compares against the tridiagonal ladder coefficients, including both
-    boundary rows.  The embedded states, grouped by l, are also compared
-    with the row of input j in `clone_coefficients` (`clone_table_match`).
-    A nonzero `perturbation` scales the reference coupling and serves as a
-    fault-injection hook: the two checks that read that coupling,
-    `ladder_action` and `ladder_restriction`, must then fail.
-    `off_ladder_residual` and `clone_table_match` do not read it.
+    With F the clone states as columns and R the tridiagonal ladder matrix,
+    `ladder_action` compares H F with F R, boundary rows included, and
+    `ladder_restriction` compares F^T H F with R.  `off_ladder_residual` is
+    the largest norm of a column of H F - F (F^T H F), the part of H F_l
+    outside span(F).  H changes l by exactly one and F_l lives on the l block
+    alone, so F^T H F is exactly tridiagonal with a zero diagonal and this is
+    also the part outside span{F_{l-1}, F_{l+1}}; a deviation inside span(F)
+    is `ladder_restriction`'s to catch.  The states, grouped by l, are also
+    compared with the row of input j in `clone_coefficients`
+    (`clone_table_match`).  A nonzero `perturbation` scales the reference
+    coupling and serves as a fault-injection hook: the two checks that read
+    R, `ladder_action` and `ladder_restriction`, must then fail.
 
     Returns a JSON-ready report; failures are carried in the report rather
     than raised.
     """
-    j = OccupationVector(j)
-    basis, h = build_full_hamiltonian(d, N, j, gamma)
-    reference = ladder_matrix(d, N, j.total(), gamma * (1.0 + perturbation))
-    embedded = np.column_stack([embed_clone_state(basis, l) for l in range(N + 1)])
-
-    action_dev = 0.0
-    off_ladder_dev = 0.0
-    for l in range(N + 1):
-        image = h @ embedded[:, l]
-        expected = np.zeros(len(basis))
-        if l < N:
-            expected += reference.offdiag[l] * embedded[:, l + 1]
-        if l > 0:
-            expected += reference.offdiag[l - 1] * embedded[:, l - 1]
-        action_dev = max(action_dev, float(np.max(np.abs(image - expected))))
-        # Residual of H|F_l> outside span{|F_{l-1}>, |F_{l+1}>}.
-        neighbors = [m for m in (l - 1, l + 1) if 0 <= m <= N]
-        span = embedded[:, neighbors]
-        residual = image - span @ (span.T @ image)
-        off_ladder_dev = max(off_ladder_dev, float(np.linalg.norm(residual)))
-
+    basis, h = build_full_hamiltonian(d, N, j)
+    f = basis.clone_states
+    reference = ladder_matrix(d, N, basis.j.total(), 1.0 + perturbation).matrix()
+    image = h @ f
+    restriction = f.T @ image
+    action_dev = np.max(np.abs(image - f @ reference))
+    off_ladder_dev = np.max(np.linalg.norm(image - f @ restriction, axis=0))
+    restriction_dev = np.max(np.abs(restriction - reference))
     # The F_l have disjoint supports, so their sum lists every l block in order.
-    row = rank(j)
-    table = np.concatenate([clone_coefficients(d, j.total(), l)[row] for l in range(N + 1)])
-    table_dev = float(np.max(np.abs(embedded.sum(axis=1) - table)))
-    restriction = embedded.T @ h @ embedded
-    restriction_dev = float(np.max(np.abs(restriction - reference.matrix())))
-
-    params = {"d": d, "N": N, "j": list(j), "gamma": gamma, "perturbation": perturbation}
-    checks = [
+    row = rank(basis.j)
+    table = np.concatenate([clone_coefficients(d, basis.j.total(), l)[row] for l in range(N + 1)])
+    table_dev = np.max(np.abs(f.sum(axis=1) - table))
+    return _report([
         _check("ladder_action", action_dev, LADDER_ACTION_TOL),
         _check("off_ladder_residual", off_ladder_dev, OFF_LADDER_TOL),
         _check("clone_table_match", table_dev, CLONE_TABLE_TOL),
         _check("ladder_restriction", restriction_dev, RESTRICTION_TOL),
-    ]
-    return _report(params, checks)
+    ])
 
 
-def verify_evolution(d: int, N: int, j, gamma: float = 1.0, t: float = 1.0,
-                     perturbation: float = 0.0) -> dict:
+def verify_evolution(d: int, N: int, j, t: float, perturbation: float = 0.0) -> dict:
     """Check the ladder evolution amplitudes against a dense matrix exponential.
 
-    Applies expm(-i H t) of the full sector Hamiltonian to the embedded
-    initial state and compares each overlap with the embedded output states
-    to the tridiagonal-eigendecomposition amplitudes.  A nonzero
-    `perturbation` scales the reference coupling: `amplitude_match` must
-    then fail, while `unitarity` does not read it.
+    Applies expm(-i H t) of the full sector Hamiltonian to the initial state
+    F_0 and compares each overlap with the clone states F_l to the
+    tridiagonal-eigendecomposition amplitudes.  A nonzero `perturbation`
+    scales the reference coupling: `amplitude_match` must then fail, while
+    `unitarity` does not read it.
     """
     from scipy.linalg import expm
 
-    j = OccupationVector(j)
-    basis, h = build_full_hamiltonian(d, N, j, gamma)
-    embedded = np.column_stack([embed_clone_state(basis, l) for l in range(N + 1)])
-    evolved = expm(-1j * h * t) @ embedded[:, 0]
-    overlaps = embedded.T @ evolved
-
-    reference = evolve(ladder_matrix(d, N, j.total(), gamma * (1.0 + perturbation)), t)
-    amp_dev = float(np.max(np.abs(overlaps - reference.amplitudes)))
-    unit_dev = float(abs(np.sum(np.abs(overlaps) ** 2) - 1.0))
-
-    params = {"d": d, "N": N, "j": list(j), "gamma": gamma, "t": t, "perturbation": perturbation}
-    checks = [
+    basis, h = build_full_hamiltonian(d, N, j)
+    f = basis.clone_states
+    overlaps = f.T @ (expm(-1j * h * t) @ f[:, 0])
+    reference = evolve(ladder_matrix(d, N, basis.j.total(), 1.0 + perturbation), t)
+    amp_dev = np.max(np.abs(overlaps - reference.amplitudes))
+    unit_dev = abs(np.sum(np.abs(overlaps) ** 2) - 1.0)
+    return _report([
         _check("amplitude_match", amp_dev, AMPLITUDE_TOL),
         _check("unitarity", unit_dev, UNITARITY_TOL),
-    ]
-    return _report(params, checks)
+    ])

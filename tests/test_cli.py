@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -171,13 +172,19 @@ def test_clone_accepts_complex_components(capsys):
     assert report["fidelity"] == pytest.approx(3 / 4, abs=1e-12)
 
 
-@pytest.mark.parametrize("x", ["1e300,1e300", "1e-170,1e-170"])
+@pytest.mark.parametrize("x", ["1e300,1e300", "1e-170,1e-170", "1.7e308,1.7e308",
+                               "1e-320,1e-320"])
 def test_clone_normalizes_x_far_from_unit_length(capsys, x):
     # Squaring 1e300 overflows and squaring 1e-170 underflows; the norm must do neither.
+    # The norm of 1.7e308,1.7e308 is above the largest float, and 1 / norm of the
+    # subnormal 1e-320,1e-320 overflows.  A RuntimeWarning is raised as an error here.
     def report(text):
-        code, out, _ = run_cli(capsys, ["clone", "--x", text, "--m", "1", "--l", "1",
-                                        "--format", "json"])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code, out, err = run_cli(capsys, ["clone", "--x", text, "--m", "1", "--l", "1",
+                                              "--format", "json"])
         assert code == 0
+        assert "RuntimeWarning" not in err
         doc = json.loads(out)
         return np.concatenate([np.ravel(doc["params"]["x"]), np.ravel(doc["reduced"]),
                                [doc["fidelity"]]])
@@ -282,6 +289,9 @@ def test_clone_usage_errors(capsys):
         ["clone", "--x", "nan,1", "--m", "1", "--l", "1"],
         ["clone", "--x", "1e999,1", "--m", "1", "--l", "1"],
         ["clone", "--x", "1", "--m", "1", "--l", "1"],
+        ["clone", "--j", "1,a", "--l", "1"],
+        ["clone", "--x", "0,0", "--m", "1", "--l", "1"],
+        ["clone", "--j", "1,0", "--m", "2", "--l", "1"],
     ):
         with pytest.raises(SystemExit) as exc:
             main(argv)

@@ -56,20 +56,21 @@ def test_full_hamiltonian_restricted_to_ladder_is_sqrt3():
     assert np.max(np.abs(restricted - expected)) < 1e-12
 
 
-def test_full_hamiltonian_zero_coupling():
-    _, h = build_full_hamiltonian(2, 2, (1, 1), gamma=0.0)
-    assert np.all(h == 0.0)
-
-
 def test_full_hamiltonian_is_exactly_hermitian():
     for d, n, j in DESK_SECTORS:
-        _, h = build_full_hamiltonian(d, n, j, gamma=0.8)
+        _, h = build_full_hamiltonian(d, n, j)
         assert np.array_equal(h, h.T)
 
 
 def test_sector_size_limit():
     with pytest.raises(ValueError):
         full_sector_basis(3, 28, (1, 1, 0))
+
+
+@pytest.mark.parametrize("d, n, j", [(3, 2, (1, 0)), (2, 0, (1, 0))])
+def test_full_sector_basis_rejects_a_mode_mismatch_and_no_atoms(d, n, j):
+    with pytest.raises(ValueError):
+        full_sector_basis(d, n, j)
 
 
 def test_embed_clone_state_bounds():
@@ -102,7 +103,7 @@ def test_verify_ladder_qubit_pair_couplings():
 
 def test_verify_ladder_passes_on_desk_grid():
     for d, n, j in DESK_SECTORS:
-        report = verify_ladder(d, n, j, gamma=1.0)
+        report = verify_ladder(d, n, j)
         assert report["pass"], report
         assert max(c["max_deviation"] for c in report["checks"]) < 1e-10
 
@@ -153,15 +154,9 @@ def test_reports_are_json_ready():
         assert set(check) == {"name", "max_deviation", "tolerance", "pass"}
 
 
-def test_gamma_scaling_of_full_hamiltonian():
-    _, h1 = build_full_hamiltonian(2, 2, (1, 0), gamma=1.0)
-    _, h2 = build_full_hamiltonian(2, 2, (1, 0), gamma=2.5)
-    assert np.max(np.abs(h2 - 2.5 * h1)) < 1e-12
-
-
 def test_ladder_restriction_matches_ladder_matrix_on_desk_grid():
     for d, n, j in DESK_SECTORS:
-        basis, h = build_full_hamiltonian(d, n, j, gamma=1.0)
+        basis, h = build_full_hamiltonian(d, n, j)
         embedded = np.column_stack([embed_clone_state(basis, l) for l in range(n + 1)])
         restricted = embedded.T @ h @ embedded
         reference = ladder_matrix(d, n, sum(j), 1.0).matrix()
@@ -204,6 +199,25 @@ def test_verify_ladder_rejects_a_skewed_clone_table(monkeypatch):
     report = verify_ladder(2, 2, (1, 0))
     assert report["pass"] is False
     assert {c["name"] for c in report["checks"] if not c["pass"]} == {"clone_table_match"}
+
+
+def test_verify_ladder_rejects_a_coupling_off_the_ladder(monkeypatch):
+    # Negative control: a 1e-6 coupling of |j, 0, N> to one l = 1 configuration
+    # adds to H F_0 a component outside span(F), which off_ladder_residual must see.
+    build = oracle.build_full_hamiltonian
+
+    def leaky(*args):
+        basis, h = build(*args)
+        v = basis.index((1, 1), (0, 1), 1)
+        h = h.copy()
+        h[0, v] += 1e-6
+        h[v, 0] += 1e-6
+        return basis, h
+
+    monkeypatch.setattr(oracle, "build_full_hamiltonian", leaky)
+    report = verify_ladder(2, 2, (1, 0))
+    assert report["pass"] is False
+    assert not {c["name"]: c for c in report["checks"]}["off_ladder_residual"]["pass"]
 
 
 @st.composite

@@ -405,3 +405,16 @@ def test_mixed_clone_one_copy_marginal_is_an_isotropically_shrunk_density(d, m, 
     L = m + l
     assert fit.isotropic
     assert fit.eta == pytest.approx(float(Fraction(m * (L + d), L * (m + d))), abs=1e-10)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: SymmetricDensity(enumerate_sector(2, 1), np.eye(3) / 3),
+    lambda: SingleQuditDensity(np.ones(3) / 3),
+    lambda: fidelity_global(clone_basis_state((1, 0), 1), PureQudit(np.ones(3) / math.sqrt(3))),
+    lambda: shrinking_factor(SingleQuditDensity(np.eye(2) / 2), SingleQuditDensity(np.eye(3) / 3)),
+    lambda: expand_identical(PureQudit(np.array([1.0, 0.0])), MAX_FACTORIAL + 1),
+], ids=["symmetric-density-shape", "single-density-shape", "global-fidelity-dimension",
+        "shrinking-dimension", "factorial-bound"])
+def test_library_input_checks_raise(build):
+    with pytest.raises(ValueError):
+        build()
