@@ -18,6 +18,7 @@ stdout closes it early, as with `| head`.
 
 import argparse
 import csv
+import functools
 import json
 import math
 import os
@@ -65,14 +66,18 @@ def _parse_occupation(text: str) -> OccupationVector:
 
 def _parse_qudit(text: str) -> np.ndarray:
     # Components are plain reals or re+imi pairs, e.g. "0.6,0.8" or "0.6+0.2i,0.8".
+    # Only a trailing "i" marks the imaginary unit, so "inf" stays a float word.
     try:
-        parts = [complex(part.strip().replace("i", "j")) for part in text.split(",")]
+        parts = [complex(p[:-1] + "j" if p.endswith("i") else p)
+                 for p in map(str.strip, text.split(","))]
     except ValueError:
         raise argparse.ArgumentTypeError(f"bad qudit amplitudes {text!r}")
     return np.asarray(parts, dtype=complex)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of this process; only in-process callers of `main` reuse it."""
     parser = argparse.ArgumentParser(
         prog="stimclone",
         description="Stimulated-emission cloning of symmetric d-level bosonic states.",
@@ -112,7 +117,8 @@ def build_parser() -> argparse.ArgumentParser:
     group.add_argument("--j", type=_parse_occupation, default=None,
                        help="basis input as comma-separated occupation numbers, e.g. 1,0")
     group.add_argument("--x", type=_parse_qudit, default=None,
-                       help="pure qudit amplitudes, e.g. 0.6,0.8 or 0.6+0.2i,0.8 (normalized)")
+                       help="pure qudit amplitudes, e.g. 0.6,0.8 or 0.6+0.2i,0.8 (normalized); "
+                            "write a leading minus as --x=-0.6,0.8")
     p_cl.add_argument("--m", type=int, default=None, help="copy number M (required with --x)")
     p_cl.add_argument("--l", type=int, required=True, help="number of additional copies (>= 0)")
     add_io_flags(p_cl)

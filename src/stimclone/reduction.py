@@ -27,8 +27,19 @@ sum_k |sum_j conj(t_{j+k}) c_j amp[j, k]|^2 for the target amplitudes t,
 with j only over the inputs with c_j != 0 (`CloneOutput.nonzero_rows`).  A
 mixed output stacks one c per eigenvector of its input, and both sums also
 run over that axis.  Neither forms the dense amplitude matrix
-or a density of the a or ab registers; `trace_out_b` forms the a x a density
-for callers that want it.
+or a density of the a or ab registers.
+
+`trace_out_b` forms the a x a density for callers that want it, from the same
+table and rho_in = c^T conj(c) (summed over components), without the dense
+a x b view: with G_k[rank(j + k), j] = amp[j, k],
+
+    rho_a = sum_k G_k rho_in G_k^T,
+
+so each (j, j', k) with j, j' live adds rho_in[j, j'] amp[j, k] amp[j', k] at
+(rank(j + k), rank(j' + k)).  That is |J|^2 |K| terms for |J| live rows; they
+are summed with `np.add.at` in blocks of input rows j of at most |A|^2 / 4
+terms (one row at least), so a block's temporaries hold no more entries than a
+quarter of the |A|^2 result.
 """
 
 import math
@@ -72,11 +83,25 @@ class SingleQuditDensity:
 def trace_out_b(out: CloneOutput) -> SymmetricDensity:
     """Density of the M+l output copies, after discarding the b register.
 
-    With Psi_i the amplitude matrix of component i this is sum_i Psi_i Psi_i^dag;
-    a pure output has a single component.
+    rho_a = sum_k G_k rho_in G_k^T with G_k[rank(j + k), j] = amp[j, k], summed
+    in blocks of input rows of at most |A|^2 / 4 terms (module docstring).  One
+    body serves basis, pure and mixed outputs; only the input rows that are
+    nonzero in some component enter, so a basis output costs |K| terms.
     """
-    psi = np.moveaxis(out.amplitudes, -2, 0).reshape(len(out.a_basis), -1)
-    rho = psi @ psi.conj().T
+    amp = clone_coefficients(out.d, out.M, out.l)
+    c = out.inputs.reshape(-1, len(amp))
+    live = np.flatnonzero(c.any(axis=0))
+    c, amp = c[:, live], amp[live]
+    rho_in = c.T @ c.conj()
+    a_index = rank(sector_array(out.d, out.M)[live, None], sector_array(out.d, out.l))
+    n_a = len(out.a_basis)
+    rho = np.zeros(n_a * n_a, dtype=complex)
+    step = max(1, n_a * n_a // (4 * amp.size))
+    for start in range(0, len(live), step):
+        rows = slice(start, start + step)
+        pairs = (a_index[rows, None] * n_a + a_index).ravel()
+        np.add.at(rho, pairs, (rho_in[rows, :, None] * (amp[rows, None] * amp)).ravel())
+    rho = rho.reshape(n_a, n_a)
     rho = 0.5 * (rho + rho.conj().T)
     return SymmetricDensity(out.a_basis, rho)
 

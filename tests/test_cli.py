@@ -172,6 +172,16 @@ def test_clone_accepts_complex_components(capsys):
     assert report["fidelity"] == pytest.approx(3 / 4, abs=1e-12)
 
 
+def test_clone_takes_a_leading_minus_in_the_equals_form(capsys):
+    # argparse reads a spaced "-0.6,0.8" as an option; "--x=-0.6,0.8" is the documented form.
+    def fidelity(argv):
+        code, out, _ = run_cli(capsys, ["clone", *argv, "--m", "1", "--l", "1"])
+        assert code == 0
+        return [r for r in parse_csv(out)[1] if r[0] == "fidelity"][0][5]
+
+    assert fidelity(["--x=-0.6,0.8"]) == fidelity(["--x", "0.6,-0.8"])
+
+
 @pytest.mark.parametrize("x", ["1e300,1e300", "1e-170,1e-170", "1.7e308,1.7e308",
                                "1e-320,1e-320"])
 def test_clone_normalizes_x_far_from_unit_length(capsys, x):
@@ -296,7 +306,10 @@ def test_clone_usage_errors(capsys):
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2
-        capsys.readouterr()
+        err = capsys.readouterr().err
+        if argv[2] in ("inf,1", "nan,1", "1e999,1"):
+            # A non-finite --x parses and is rejected by PureQudit, not by argparse.
+            assert "must be finite" in err
 
 
 def test_verify_json_report_schema(capsys):

@@ -1,4 +1,7 @@
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -6,7 +9,9 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import stimclone
 from stimclone.cloner import (
+    CloneOutput,
     PureQudit,
     SymmetricDensity,
     clone_basis_state,
@@ -64,10 +69,45 @@ def test_trace_out_b_has_unit_trace():
 def test_trace_out_b_pure_and_density_routes_agree():
     rng = np.random.default_rng(33)
     x = PureQudit.random(2, rng)
-    out = clone_pure(x, 2, 1)
-    a_dim, b_dim = len(out.a_basis), len(out.b_basis)
-    dense = np.einsum("piqi->pq", out.to_density().reshape(a_dim, b_dim, a_dim, b_dim))
-    assert np.max(np.abs(trace_out_b(out).matrix - dense)) < 1e-12
+    for out in [clone_pure(x, 2, 1)] + [out for out, _ in _clone_outputs_with_reference()]:
+        assert np.max(np.abs(trace_out_b(out).matrix - _dense_a_density(out))) < 1e-13
+
+
+def test_trace_out_b_forms_neither_the_dense_view_nor_nonzero_rows(monkeypatch):
+    rng = np.random.default_rng(46)
+    basis = enumerate_sector(3, 2)
+    outs = [clone_basis_state((2, 1, 0), 2), clone_pure(PureQudit.random(3, rng), 2, 2),
+            clone_mixed(SymmetricDensity(basis, random_density(len(basis), 4, rng)), 2)]
+    expected = [_dense_a_density(out) for out in outs]
+
+    def refuse(*_):
+        raise AssertionError("trace_out_b read the a x b view")
+
+    monkeypatch.setattr(CloneOutput, "amplitudes", property(refuse))
+    monkeypatch.setattr(CloneOutput, "nonzero_rows", refuse)
+    for out, dense in zip(outs, expected):
+        assert np.max(np.abs(trace_out_b(out).matrix - dense)) < 1e-13
+
+
+def test_trace_out_b_of_a_full_rank_mixed_output_stays_near_the_result_size():
+    # 70 components, |J| = 70, |K| = 210, |A| = 1,001: the a x a result is 16 MB, while
+    # the dense 70 x 1,001 x 210 a x b view alone would hold 235 MB.  VmHWM is the
+    # child's own peak in KiB (see test_fock).
+    script = (
+        "from stimclone.cloner import SymmetricDensity, clone_mixed\n"
+        "from stimclone.reduction import trace_out_b\n"
+        "def peak():\n"
+        "    line = next(line for line in open('/proc/self/status') if line.startswith('VmHWM:'))\n"
+        "    return int(line.split()[1])\n"
+        "out = clone_mixed(SymmetricDensity.maximally_mixed(5, 4), 6)\n"
+        "before = peak()\n"
+        "trace_out_b(out)\n"
+        "print(peak() - before)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(stimclone.__file__)))
+    result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                            env=env, check=True)
+    assert int(result.stdout) < 150 * 1024
 
 
 def test_reduce_to_single_concentrated_sector():
