@@ -90,7 +90,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", metavar="PATH", default=None,
                        help="write machine output to PATH and a rounded table to stdout")
 
-    p_fid = sub.add_parser("fidelity", help="simulated vs closed-form fidelities over L = M..L_max")
+    p_fid = sub.add_parser("fidelity", help="simulated vs closed-form fidelities over L = M..L_max",
+                           description="f_single_simulated comes from the input state and the "
+                                       "emission law; f_global_simulated reads the clone table.")
     p_fid.add_argument("--d", type=int, required=True, choices=range(2, 7), help="qudit dimension")
     p_fid.add_argument("--m", type=int, required=True, choices=range(1, 7), help="copy number M")
     p_fid.add_argument("--l-max", type=int, required=True, dest="l_max",

@@ -207,7 +207,7 @@ def clone_coefficients(d: int, M: int, l: int) -> np.ndarray:
     log_sq = np.zeros((len(j), len(k)))
     for i in range(d):
         log_sq += log_binom[j[:, i, None], k[:, i]]
-    log_sq += log_factorial(M + d - 1) + log_factorial(l) - log_factorial(M + l + d - 1)
+    log_sq += lf[M + d - 1] + lf[l] - lf[M + l + d - 1]
     log_sq *= 0.5
     amp = np.exp(log_sq, out=log_sq)
     amp.setflags(write=False)

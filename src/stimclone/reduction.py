@@ -6,28 +6,27 @@ expectations, rho_1[r, s] = Tr(rho_L a_s^dag a_r) / L, which keeps every cost
 polynomial in the sector size.
 
 A clone output sum_{j,k} c_j amp[j, k] |j+k>_a |k>_b, with amp the table of
-`fock.clone_coefficients` and k in the (d, l) sector K, is reduced from that
-table and the entries rho_in[j, j'] = c_j conj(c_j') of its input density,
-read only where the formula needs them.  With n = j + k and j' = j - e_r + e_s
-the clone formula gives
+`fock.clone_coefficients` and k in the (d, l) sector K, has the input density
+rho_in[j, j'] = c_j conj(c_j') (summed over components).  amp[j, k]^2, which is
+proportional to prod_i C(j_i + k_i, k_i), is the Dirichlet-multinomial (Polya
+urn) law of l draws with weights j + 1, so the mean number of photons emitted
+into mode r is emitted[j, r] = l (j_r + 1) / (M + d): stimulated emission
+(Simon, Weihs & Zeilinger, Phys. Rev. Lett. 84, 2993 (2000)).  With n = j + k
+and j' = j - e_r + e_s, amp[j', k] / amp[j, k] = sqrt(j_r (n_s + 1) / (n_r (j_s + 1))),
+so the a_s^dag a_r term sums over k to sqrt(j_r / (j_s + 1)) (j_s + 1 + emitted[j, s])
+for r != s and to j_r + emitted[j, r] for r = s.  Both are the input's term
+times (L + d) / (M + d), plus l / (M + d) on the diagonal, so with the input's
+one-body moment m[r, s] = Tr(rho_in a_s^dag a_r)
 
-    amp[j', k] / amp[j, k] = sqrt(j_r (n_s + 1) / (n_r (j_s + 1))),
+    rho_1 = ((L + d) m + l I) / (L (M + d)),
 
-so each a_s^dag a_r term amp[j, k] amp[j', k] sqrt(n_r (n_s + 1)) is
-amp[j, k]^2 sqrt(j_r / (j_s + 1)) (n_s + 1).  The rows of amp^2 sum to 1, so
-the sum over k needs only emitted = (amp * amp) @ K, the mean number of
-photons emitted into each mode:
-
-    rho_1[r, r] = sum_j rho_in[j, j] (j_r + emitted[j, r]) / L,
-    rho_1[r, s] = sum_j rho_in[j, j'] sqrt(j_r / (j_s + 1)) (j_s + 1 + emitted[j, s]) / L.
-
-A density of L bosons is the M = L case with emitted = 0.  Both sums run in
-one pass over the flat table of `_hops`.  The L-copy fidelity is
-sum_k |sum_j conj(t_{j+k}) c_j amp[j, k]|^2 for the target amplitudes t,
-with j only over the inputs with c_j != 0 (`CloneOutput.nonzero_rows`).  A
-mixed output stacks one c per eigenvector of its input, and both sums also
-run over that axis.  Neither forms the dense amplitude matrix
-or a density of the a or ab registers.
+the input's marginal m / M shrunk isotropically by eta = M (L + d) / (L (M + d))
+(Werner, Phys. Rev. A 58, 1827 (1998)); no clone table is read.  A density of
+L bosons is the case M = L, l = 0.  m is one pass over the flat table of
+`_hops`.  The L-copy fidelity is sum_k |sum_j conj(t_{j+k}) c_j amp[j, k]|^2
+for the target amplitudes t, with j only over the inputs with c_j != 0
+(`CloneOutput.nonzero_rows`) and, for a mixed output, over its components.
+Neither forms the dense amplitude matrix or a density of the a or ab registers.
 
 `trace_out_b` forms the a x a density for callers that want it, from the same
 table and rho_in = c^T conj(c) (summed over components), without the dense
@@ -110,10 +109,9 @@ def trace_out_b(out: CloneOutput) -> SymmetricDensity:
 def _hops(d: int, total: int) -> tuple:
     """Every term of the operators a_s^dag a_r on the (d, total) sector, as flat arrays.
 
-    Returns (rs, s, src, dst, root, ratio): term t takes the vector n in row
-    src[t] to n - e_r + e_s in row dst[t], with rs = r d + s.  For r != s
-    (rows with n_r > 0) root = sqrt(n_r (n_s + 1)) and ratio = sqrt(n_r / (n_s + 1));
-    for r = s (every row) root = n_r and ratio = 1.
+    Returns (rs, src, dst, root): term t takes the vector n in row src[t] to
+    n - e_r + e_s in row dst[t], with rs = r d + s.  For r != s (rows with
+    n_r > 0) root = sqrt(n_r (n_s + 1)); for r = s (every row) root = n_r.
     """
     vectors = sector_array(d, total)
     src, r, s = np.nonzero((vectors[:, :, None] > 0) | np.eye(d, dtype=bool))
@@ -122,32 +120,31 @@ def _hops(d: int, total: int) -> tuple:
     shifted[np.arange(len(src)), r] -= 1
     shifted[np.arange(len(src)), s] += 1
     root = np.where(r == s, n_r, np.sqrt(n_r * n_s1))
-    ratio = np.where(r == s, 1.0, np.sqrt(n_r / n_s1))
-    return r * d + s, s, src, rank(shifted), root, ratio
+    return r * d + s, src, rank(shifted), root
 
 
 def reduce_to_single(rho_L: SymmetricDensity | CloneOutput) -> SingleQuditDensity:
     """One-qudit marginal of an L-boson symmetric density or of a clone output.
 
-    rho_1[r, s] = Tr(rho_L a_s^dag a_r) / L by the formula of the module
-    docstring.  A density has no emitted photons, so it needs no clone table
-    and may have any total.
+    rho_1 = ((L + d) m + l I) / (L (M + d)) with m[r, s] = Tr(rho_in a_s^dag a_r),
+    by the emission law of the module docstring.  Only the input density is
+    read, never the clone table; a density is the case M = L, l = 0, so it may
+    have any total.
     """
     d, cloned = rho_L.d, isinstance(rho_L, CloneOutput)
     M, L = (rho_L.M, rho_L.L) if cloned else (rho_L.total, rho_L.total)
     if L < 1:
         raise ValueError("single-qudit reduction needs at least one boson")
-    rs, s, src, dst, root, ratio = _hops(d, M)
+    rs, src, dst, root = _hops(d, M)
     if cloned:
         c = rho_L.inputs.reshape(-1, rho_L.inputs.shape[-1])
         rho_in = (c[:, src] * c[:, dst].conj()).sum(axis=0)
-        amp = clone_coefficients(d, M, rho_L.l)
-        emitted = (amp * amp) @ sector_array(d, rho_L.l)
     else:
-        rho_in, emitted = rho_L.matrix[src, dst], np.zeros((len(rho_L.basis), d))
-    terms = rho_in * (root + ratio * emitted[src, s])
-    rho1 = np.bincount(rs, terms.real, d * d) + 1j * np.bincount(rs, terms.imag, d * d)
-    rho1 = rho1.reshape(d, d) / L
+        rho_in = rho_L.matrix[src, dst]
+    terms = rho_in * root
+    m = np.bincount(rs, terms.real, d * d) + 1j * np.bincount(rs, terms.imag, d * d)
+    # The factor comes before the division by L: for a density it is exactly 1.0.
+    rho1 = (m.reshape(d, d) * ((L + d) / (M + d)) + np.eye(d) * ((L - M) / (M + d))) / L
     return SingleQuditDensity(0.5 * (rho1 + rho1.conj().T))
 
 

@@ -365,6 +365,46 @@ def test_reduce_to_single_from_coefficients_matches_dense_route():
         assert np.max(np.abs(direct - dense)) < 1e-13
 
 
+def test_reduce_to_single_of_clone_outputs_reads_no_clone_table(monkeypatch):
+    # The one-copy marginal follows from the input density and the emission law
+    # alone, also for M = 0, where only the l I term remains.
+    rng = np.random.default_rng(47)
+    basis = enumerate_sector(3, 2)
+    outs = [clone_basis_state((2, 1, 0), 2), clone_pure(PureQudit.random(3, rng), 2, 2),
+            clone_mixed(SymmetricDensity(basis, random_density(len(basis), 4, rng)), 2),
+            clone_basis_state((0, 0, 0), 2)]
+    expected = [reduce_to_single(trace_out_b(out)).matrix for out in outs]
+
+    def refuse(*_):
+        raise AssertionError("reduce_to_single read the clone table")
+
+    monkeypatch.setattr(stimclone.reduction, "clone_coefficients", refuse)
+    for out, dense in zip(outs, expected):
+        assert np.max(np.abs(reduce_to_single(out).matrix - dense)) < 1e-13
+
+
+def test_dense_route_comparison_catches_a_skewed_clone_table(monkeypatch):
+    # Negative control for test_reduce_to_single_from_coefficients_matches_dense_route:
+    # trace_out_b reads the clone table and reduce_to_single does not, so moving weight
+    # between two emission vectors k in one live row must show in their difference.
+    rng = np.random.default_rng(48)
+    table = stimclone.reduction.clone_coefficients
+    for out in [clone_basis_state((1, 0, 2), 2), clone_pure(PureQudit.random(3, rng), 2, 3)]:
+        row = np.flatnonzero(out.inputs)[0]
+
+        def skewed(d, m, l, row=row):
+            sq = table(d, m, l) ** 2
+            sq[row, 0], sq[row, -1] = 0.5 * sq[row, 0], sq[row, -1] + 0.5 * sq[row, 0]
+            return np.sqrt(sq / sq.sum(axis=1, keepdims=True))
+
+        assert np.max(np.abs(reduce_to_single(out).matrix
+                             - reduce_to_single(trace_out_b(out)).matrix)) < 1e-13
+        monkeypatch.setattr(stimclone.reduction, "clone_coefficients", skewed)
+        dense = reduce_to_single(trace_out_b(out)).matrix
+        monkeypatch.undo()
+        assert np.max(np.abs(reduce_to_single(out).matrix - dense)) > 1e-6
+
+
 def test_fidelity_global_from_coefficients_matches_dense_overlap():
     for out, x in _clone_outputs_with_reference():
         target = expand_identical(x, out.L)
@@ -379,10 +419,10 @@ def test_reduce_to_single_rejects_vacuum_clone_output():
 
 
 def _mixed_inputs():
-    """Random mixed densities with d <= 3, M <= 2, l <= 2, rank-deficient ones included."""
+    """Random mixed densities with d <= 3, M <= 3, l <= 2, rank-deficient ones included."""
     rng = np.random.default_rng(44)
     cases = []
-    for d, m, l in [(2, 1, 0), (2, 1, 2), (2, 2, 1), (3, 1, 1), (3, 2, 2), (3, 2, 0)]:
+    for d, m, l in [(2, 1, 0), (2, 1, 2), (2, 2, 1), (3, 1, 1), (3, 2, 2), (3, 2, 0), (2, 3, 2)]:
         basis = enumerate_sector(d, m)
         for r in sorted({1, max(1, len(basis) - 1), len(basis)}):
             cases.append((SymmetricDensity(basis, random_density(len(basis), r, rng)), l))
