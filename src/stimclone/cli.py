@@ -10,7 +10,9 @@ sampling is driven by --seed (default printed to stderr), so identical flags
 produce identical bytes.  A json document is one line, written by the json
 module's C encoder (`python -m json.tool` indents it); it is no longer
 byte-identical to the indented json of earlier releases, but parses to the
-same document.  Exit codes: 0 success, 1 check failure, 2 usage error, which
+same document.  The `clone` listing is assembled from text formatted once
+per occupation vector, byte-identical to what json.dumps writes for the same
+document.  Exit codes: 0 success, 1 check failure, 2 usage error, which
 covers every ValueError of the library, inputs above a declared bound and an
 --out path that cannot be written, and 141 (128 + SIGPIPE) when the reader of
 stdout closes it early, as with `| head`.
@@ -51,8 +53,9 @@ PERTURBATION_SIZE = 1e-6
 # at 88 MB on a 2-vCPU VM (about 0.4 ms and 3 KB of report per draw).
 MAX_VERIFY_SAMPLES = 10_000
 # Largest number of amplitude records `clone` lists.  json output costs about
-# 1.1 KB per record at d = 6: `clone --j 1,0,0,0,0,0 --l 25 --format json`
-# (142,506 records) peaked at 186 MB on a 2-vCPU VM, csv at 156 MB.  A record
+# 0.9 KB per record at d = 6, csv 0.7 KB: `clone --j 1,0,0,0,0,0 --l 25 --format
+# json` (142,506 records, each with its own vectors) peaked at 162 MiB on a
+# 2-vCPU VM, csv at 135 MiB, against 37 MiB for a one-record listing.  A record
 # lists 2d occupation numbers, so above d = 6 the bound shrinks by 6/d.
 MAX_CLONE_RECORDS = 155_000
 
@@ -147,15 +150,17 @@ def build_parser() -> argparse.ArgumentParser:
 def _emit(args, header, rows, document, human=None) -> None:
     """Write `document` as json, or `header` and `rows` as csv, to stdout or --out PATH.
 
-    Rows are dicts with values in header order, or sequences; csv.writer writes
-    a float as its repr and None as an empty cell.  With --out, stdout gets
-    `human` (default: a 6-digit table of the rows).
+    A dict document goes through json.dumps; a str is json text already (the
+    `clone` listing, byte-identical to json.dumps of its dict) and is written
+    as it is.  Rows are dicts with values in header order, or sequences;
+    csv.writer writes a float as its repr and None as an empty cell.  With
+    --out, stdout gets `human` (default: a 6-digit table of the rows).
     """
     rows = [row.values() if isinstance(row, dict) else row for row in rows or ()]
 
     def write(fh):
         if args.format == "json":
-            print(json.dumps(document), file=fh)
+            print(document if isinstance(document, str) else json.dumps(document), file=fh)
         else:
             csv.writer(fh, lineterminator="\n").writerows([header, *rows])
 
@@ -229,6 +234,14 @@ def _reference_qudit(j: OccupationVector):
     return PureQudit(np.eye(len(j))[j.index(total)])
 
 
+def _vector_texts(vectors: np.ndarray, sep: str) -> list[str]:
+    """The numbers of each row of an integer array joined by `sep`, as json.dumps writes them.
+
+    One json.dumps call formats all rows, in C; its text is then split between rows.
+    """
+    return json.dumps(vectors.tolist(), separators=(sep, ":"))[2:-2].split(f"]{sep}[")
+
+
 def cmd_clone(args) -> int:
     vector_d = len(args.x) if args.x is not None else args.j.d
     if args.d is not None and args.d != vector_d:
@@ -271,20 +284,30 @@ def cmd_clone(args) -> int:
 
     # The nonzero amplitudes in (p, q) order: p ranks the a-occupation, q the b-occupation.
     js, qs = np.nonzero(coefficients)
-    order = np.lexsort((qs, a_index[js, qs]))
+    ps = a_index[js, qs]
+    order = np.lexsort((qs, ps))
     js, qs = js[order], qs[order]
     values = coefficients[js, qs]
-    records = list(zip(sector_array(out.d, out.L)[a_index[js, qs]].tolist(),
-                       sector_array(out.d, out.l)[qs].tolist(),
-                       values.real.tolist(), values.imag.tolist()))
+    # A pure listing repeats each a- and b-occupation over its live input rows,
+    # so each vector is formatted once and a record holds indices into the texts.
+    used, ps = np.unique(ps[order], return_inverse=True)
+    vectors = (sector_array(out.d, out.L)[used], sector_array(out.d, out.l))
+    columns = (ps.tolist(), qs.tolist(), values.real.tolist(), values.imag.tolist())
     document = rows = None
     if args.format == "json":
-        amplitudes = [{"a": a, "b": b, "real": re, "imag": im} for a, b, re, im in records]
-        document = {"command": "clone", "params": params, "amplitudes": amplitudes,
-                    "reduced": reduced, "fidelity": fidelity}
+        a_text, b_text = (_vector_texts(vs, ", ") for vs in vectors)
+        # Every amplitude is finite, so repr writes it as json's encoder would;
+        # only a non-finite float would differ (json spells it NaN or Infinity).
+        records = (f'{{"a": [{a_text[p]}], "b": [{b_text[q]}], "real": {re!r}, "imag": {im!r}}}'
+                   for p, q, re, im in zip(*columns))
+        # The listing goes between the other keys, in the order json.dumps keeps.
+        head = json.dumps({"command": "clone", "params": params})
+        tail = json.dumps({"reduced": reduced, "fidelity": fidelity})
+        document = f'{head[:-1]}, "amplitudes": [{", ".join(records)}], {tail[1:]}'
     if args.format == "csv" or args.out:
-        rows = [("amplitude", ",".join(map(str, a)), ",".join(map(str, b)), None, None, re, im)
-                for a, b, re, im in records]
+        a_text, b_text = (_vector_texts(vs, ",") for vs in vectors)
+        rows = [("amplitude", a_text[p], b_text[q], None, None, re, im)
+                for p, q, re, im in zip(*columns)]
         rows += [("reduced", None, None, r, s, *z) for r, row in enumerate(reduced or ())
                  for s, z in enumerate(row)]
         rows.append(("fidelity", None, None, None, None, fidelity, None))

@@ -88,8 +88,9 @@ def ladder_matrix(d: int, N: int, M: int, gamma: float = 1.0) -> LadderHamiltoni
         raise ValueError(f"input photon number must be >= 0, got {M}")
     if not (math.isfinite(gamma) and gamma > 0):
         raise ValueError(f"coupling gamma must be positive and finite, got {gamma}")
-    off = tuple(gamma * math.sqrt((l + 1) * (N - l) * (M + l + d)) for l in range(N))
-    return LadderHamiltonian(off)
+    # In floats, so a large M cannot overflow; every product below 2^53 is exact.
+    l = np.arange(N, dtype=float)
+    return LadderHamiltonian(tuple((gamma * np.sqrt((l + 1) * (N - l) * (M + l + d))).tolist()))
 
 
 def evolve(h: LadderHamiltonian, t: float) -> EvolutionProfile:

@@ -264,6 +264,7 @@ def test_clone_records_match_dense_reference(capsys):
 def test_clone_lists_nonzeros_without_dense_amplitudes(capsys, monkeypatch):
     cases = [
         (["clone", "--j", "2,0,1", "--l", "2"], clone_basis_state((2, 0, 1), 2)),
+        (["clone", "--j", "0,0,0", "--l", "2"], clone_basis_state((0, 0, 0), 2)),
         (["clone", "--x", "0.6,0.8i", "--m", "2", "--l", "3"],
          clone_pure(PureQudit(np.array([0.6, 0.8j]) / np.linalg.norm([0.6, 0.8j])), 2, 3)),
     ]
@@ -285,6 +286,10 @@ def test_clone_lists_nonzeros_without_dense_amplitudes(capsys, monkeypatch):
         assert code == 0
         _, rows = parse_csv(out)
         assert [[r[1], r[2], r[5], r[6]] for r in rows if r[0] == "amplitude"] == records
+        code, out, _ = run_cli(capsys, argv + ["--format", "json"])
+        assert code == 0
+        assert [[",".join(map(str, e["a"])), ",".join(map(str, e["b"])), repr(e["real"]),
+                 repr(e["imag"])] for e in json.loads(out)["amplitudes"]] == records
 
 
 def test_clone_usage_errors(capsys):
@@ -501,9 +506,11 @@ def test_clone_counts_records_before_forming_them():
 
 
 def test_clone_json_listing_is_one_line_near_the_result_size():
-    # 21 x 2,530 = 53,130 amplitude records at d = 6.  The document is written
-    # on one line by json's C encoder; with the indented pure-Python encoder
-    # this run peaked at about 185 MiB.  VmHWM is the child's own peak in KiB.
+    # 21 x 2,530 = 53,130 amplitude records at d = 6.  The document is one
+    # line, assembled from text formatted once per occupation vector: this run
+    # peaked at 83 MiB on a 2-vCPU VM, at 94 MiB when json's C encoder wrote
+    # one dict per record, and at about 185 MiB with the indented pure-Python
+    # encoder.  VmHWM is the child's own peak in KiB.
     script = (
         "import sys\n"
         "from stimclone.cli import main\n"
@@ -520,6 +527,29 @@ def test_clone_json_listing_is_one_line_near_the_result_size():
     assert result.stdout.count("\n") == 1 and result.stdout.endswith("}\n")
     assert len(json.loads(result.stdout)["amplitudes"]) == 53_130
     assert peak_kib < 140 * 1024
+
+
+def test_clone_pure_json_listing_formats_each_vector_once():
+    # 21 live input rows x 6,216 emission vectors = 130,536 records at d = 3,
+    # which use only 6,786 distinct a-vectors and 6,216 b-vectors.  Each vector
+    # is formatted once: this run peaked at 99 MiB on a 2-vCPU VM, and at 143 MiB
+    # when every record carried its own lists into json's encoder.
+    script = (
+        "import sys\n"
+        "from stimclone.cli import main\n"
+        "code = main(['clone', '--x', '0.6,0.5,0.4', '--m', '5', '--l', '110',\n"
+        "             '--format', 'json'])\n"
+        "peak = next(line for line in open('/proc/self/status') if line.startswith('VmHWM:'))\n"
+        "print(code, peak.split()[1], file=sys.stderr)\n"
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.path.abspath(SRC_DIR) + os.pathsep + env.get("PYTHONPATH", "")
+    result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                            env=env, check=True)
+    code, peak_kib = map(int, result.stderr.split())
+    assert code == 0
+    assert len(json.loads(result.stdout)["amplitudes"]) == 130_536
+    assert peak_kib < 125 * 1024
 
 
 def test_closed_stdout_ends_quietly():
@@ -594,6 +624,7 @@ def test_csv_cells_and_json_values_are_the_same_numbers(argv):
                 contextlib.redirect_stderr(io.StringIO()):
             assert main(argv + ["--format", fmt]) == 0
         outputs.append(out.getvalue())
+    assert outputs[1] == json.dumps(json.loads(outputs[1])) + "\n"
     _, csv_rows = parse_csv(outputs[0])
     json_rows = _csv_rows_from_json(json.loads(outputs[1]))
     assert [len(row) for row in csv_rows] == [len(row) for row in json_rows]
