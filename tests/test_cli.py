@@ -449,6 +449,7 @@ def test_evolve_usage_errors(capsys):
         ["evolve", "--d", "2", "--m", "0", "--n", "3", "--tau", "nan"],
         ["evolve", "--d", "6", "--m", "6", "--n", "100", "--tau", "1e307"],
         ["evolve", "--d", "3", "--m", "2", "--n", "5", "--tau", "1e17"],
+        ["evolve", "--d", "2", "--m", "1" + "0" * 400, "--n", "3", "--tau", "1"],
     ):
         with pytest.raises(SystemExit) as exc:
             main(argv)

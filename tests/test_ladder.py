@@ -44,6 +44,8 @@ def test_ladder_matrix_rejects_bad_arguments():
         ladder_matrix(2, 1, 1, gamma=0.0)
     with pytest.raises(ValueError):
         ladder_matrix(2, 1, 1, gamma=math.inf)
+    with pytest.raises(ValueError):
+        ladder_matrix(2, 3, 10**400)
 
 
 def test_matrix_is_symmetric_with_zero_diagonal():
@@ -187,6 +189,21 @@ def test_evolve_matches_a_truncated_taylor_propagator():
 def test_evolve_is_unitary(d, n, m, t):
     probs = evolve(ladder_matrix(d, n, m), t).probabilities
     assert abs(probs.sum() - 1.0) <= 1e-12
+
+
+@pytest.mark.parametrize("parity", [0, 1])
+def test_evolve_is_unitary_over_the_benchmark_range(parity):
+    # N = 2k + parity, k uniform in 15..499, spans the benchmark's 30..999.
+    # The odd rungs come from the even block's eigenvectors through B; without
+    # the first-order orthonormalization of that map |sum p - 1| reaches 3e-12.
+    rng = np.random.default_rng(19 + parity)
+    for _ in range(10):
+        h = ladder_matrix(int(rng.integers(2, 7)), 2 * int(rng.integers(15, 500)) + parity,
+                          int(rng.integers(0, 7)))
+        tau = float(rng.uniform(-3.0, 3.0))
+        profile = evolve(h, tau)
+        assert abs(profile.probabilities.sum() - 1.0) <= 1e-13
+        assert np.max(np.abs(profile.amplitudes - _full_spectrum_amplitudes(h, tau))) <= 1e-10
 
 
 def test_ladder_matrix_rejects_oversized_ladders_at_once():
