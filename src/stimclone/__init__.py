@@ -16,7 +16,6 @@ from .fock import (
     OccupationVector,
     SectorBasis,
     enumerate_sector,
-    log_factorial,
 )
 from .ladder import (
     EvolutionProfile,
@@ -60,7 +59,6 @@ __all__ = [
     "OccupationVector",
     "SectorBasis",
     "enumerate_sector",
-    "log_factorial",
     "EvolutionProfile",
     "LadderHamiltonian",
     "evolve",

@@ -106,10 +106,10 @@ class CloneOutput:
 
     An input sum_j c_j |J[j]> of the (d, M) sector J clones to
     sum_{j,k} c_j amp[j, k] |J[j] + K[k]>_a |K[k]>_b, with K = b_basis and amp
-    the cached `fock.clone_coefficients(d, M, l)`.  Only c is stored, as
-    `inputs`; the constructors check the shape with `fock.clone_shape`, and amp
-    is built on first read.  `nonzero_rows()` forms c_j amp[j, k] on the rows
-    with a nonzero input and ranks their J[j] + K[k] in a_basis.
+    the table of `fock.clone_coefficients(d, M, l)`.  Only c is stored, as
+    `inputs`; the constructors check the shape with `fock.clone_shape`.  A read
+    builds amp and the a_basis ranks of J[j] + K[k] at the live rows alone, the
+    inputs nonzero in some component (`_live_rows`), and keeps neither.
 
     A mixed output has one leading component axis: inputs[i] = sqrt(p_i) v_i
     for the eigenpairs (p_i, v_i) of the input, and the joint density is the
@@ -135,16 +135,22 @@ class CloneOutput:
     def b_basis(self) -> SectorBasis:
         return enumerate_sector(self.d, self.l)
 
+    def _live_rows(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(live, amp, a_index): the input rows nonzero in any component, and their clone table.
+
+        A basis output has one live row, a pure output one per c_j != 0.
+        """
+        live = np.flatnonzero(self.inputs.reshape(-1, self.inputs.shape[-1]).any(axis=0))
+        return (live, *clone_coefficients(self.d, self.M, self.l, live))
+
     def nonzero_rows(self) -> tuple[np.ndarray, np.ndarray]:
         """(coefficients, a_index) on the input rows that are nonzero in any component.
 
-        a_index holds the a_basis positions of J[j] + K[k], ranked for the kept
-        rows only.  A basis output keeps one row, a pure output one per c_j != 0.
+        coefficients[..., r, k] = c_j amp[j, k] for the r-th such row j, and
+        a_index[r, k] is the a_basis position of J[j] + K[k].
         """
-        amp = clone_coefficients(self.d, self.M, self.l)
-        live = np.flatnonzero(self.inputs.reshape(-1, len(amp)).any(axis=0))
-        a_index = rank(sector_array(self.d, self.M)[live, None], sector_array(self.d, self.l))
-        return self.inputs[..., live, None] * amp[live], a_index
+        live, amp, a_index = self._live_rows()
+        return self.inputs[..., live, None] * amp, a_index
 
     @property
     def amplitudes(self) -> np.ndarray:

@@ -3,10 +3,9 @@
 A state of M identical d-level bosons is indexed by occupation vectors
 (j_1, ..., j_d) with sum M.  This module enumerates those bases in a fixed
 canonical order, ranks occupation vectors arithmetically within it, and
-tabulates the cloning coefficients per (d, M, l) shape in
-`clone_coefficients`, the package's one implementation of the clone formula.
-Coefficients are computed through log-factorials so that no factorial is
-ever formed in floating point.
+builds the cloning coefficients in `clone_coefficients`, the package's one
+implementation of the clone formula, from per-sector log multinomials so
+that no factorial is ever formed in floating point.
 """
 
 import math
@@ -20,9 +19,9 @@ import numpy as np
 # package computes stays far below it.
 MAX_FACTORIAL = 200
 
-# Largest |J| x |K| table `clone_coefficients` builds.  Its build peaks at 16
-# bytes per entry (result and one mode term), 48 MB at this bound; `clone --d 6
-# --j 6,0,0,0,0,0 --l 12` (2,858,856 entries) fits and adds 44 MB.
+# Largest |J| x |K| table `clone_coefficients` builds.  A full build peaks at
+# about 24 bytes per entry (amp, a_index, one temporary), 72 MB at this bound;
+# the whole (6, 6, 12) table (2,858,856 entries) fits and adds 70 MiB.
 MAX_CLONE_ENTRIES = 3_000_000
 
 # ln(n!) from the exact integer factorial, so each entry is correct to 1 ulp.
@@ -130,6 +129,14 @@ def sector_array(d: int, total: int) -> np.ndarray:
 
 
 @cache
+def _sector_log_multinomials(d: int, total: int) -> np.ndarray:
+    """Read-only `log_multinomials` of the (d, total) sector, in canonical order."""
+    table = log_multinomials(sector_array(d, total))
+    table.setflags(write=False)
+    return table
+
+
+@cache
 def _rank_table(d: int, tail_max: int) -> np.ndarray:
     # Row i, column t: C(t + d-2-i, d-1-i), the number of vectors ahead of any
     # vector that leaves t photons for the modes after i.
@@ -154,15 +161,6 @@ def rank(*parts) -> np.ndarray:
     return sum(row[reduce(np.add, (t[..., i] for t in tails))] for i, row in enumerate(table))
 
 
-def log_factorial(n: int) -> float:
-    """ln(n!) for 0 <= n <= MAX_FACTORIAL, exact 0.0 for n in {0, 1}."""
-    if n < 0:
-        raise ValueError(f"factorial of negative number: {n}")
-    if n > MAX_FACTORIAL:
-        raise ValueError(f"factorial bound exceeded: {n} > {MAX_FACTORIAL}")
-    return _LOG_FACTORIAL_TABLE.item(n)
-
-
 def clone_shape(d: int, M: int, l: int) -> tuple[int, int]:
     """(|J|, |K|) of the (d, M, l) clone table, by arithmetic alone.
 
@@ -183,40 +181,38 @@ def clone_shape(d: int, M: int, l: int) -> tuple[int, int]:
     return n_j, n_k
 
 
-@cache
-def clone_coefficients(d: int, M: int, l: int) -> np.ndarray:
-    """Every clone amplitude of the (d, M) input sector with l extra copies.
+def clone_coefficients(d: int, M: int, l: int, rows=slice(None)) -> tuple[np.ndarray, np.ndarray]:
+    """Clone amplitudes of the (d, M) input sector with l extra copies, at input `rows`.
 
-    Returns a read-only float array amp of shape (|J|, |K|), where J is the
-    (d, M) sector and K the (d, l) sector, both in canonical order.  Basis
-    input J[j] clones to sum_k amp[j, k] |J[j] + K[k]>_a |K[k]>_b, with
+    Returns (amp, a_index), the [rows] of two |J| x |K| tables, where J is the
+    (d, M) sector, K the (d, l) sector, both in canonical order, and `rows` any
+    index of J (all rows when omitted).  Basis input J[j] clones to
+    sum_k amp[j, k] |J[j] + K[k]>_a |K[k]>_b, a_index[j, k] = rank(J[j] + K[k])
+    in the (d, M+l) sector, and
 
-        amp[j, k] = sqrt[(M+d-1)! l! / (M+l+d-1)!] * prod_i sqrt[(k_i+j_i)! / (k_i! j_i!)]
+        amp[j, k]^2 = (d[M] / d[L]) mult(J[j]) mult(K[k]) / mult(J[j] + K[k])
 
-    evaluated as exp of a log-factorial sum; it is non-negative and each row
-    has unit norm.  It is summed one mode at a time from a (M+1) x (l+1) table
-    of ln C(a+b, b), so no |J| x |K| x d array is formed; `rank(J[:, None], K)`
-    ranks J[j] + K[k] in the (d, M+l) sector.  Cached per shape.  The bounds
-    are checked first, by `clone_shape`, so an oversized table allocates nothing.
+    with mult(n) = |n|! / prod_i n_i! and d[n] = C(n+d-1, d-1), so the prefactor
+    is the optimal L-copy fidelity (Werner, Phys. Rev. A 58, 1827 (1998)).  amp
+    is exp of a sum of cached per-sector log multinomials; each row has unit
+    norm.  Nothing else is cached.  `clone_shape` checks the bounds first, so
+    an oversized table allocates nothing.
     """
     clone_shape(d, M, l)
-    j, k, lf = sector_array(d, M), sector_array(d, l), _LOG_FACTORIAL_TABLE
-    # log_binom[a, b] = ln C(a+b, b).  The modes are summed in order from zero,
-    # the order in which numpy sums an axis shorter than 8.
-    log_binom = lf[np.arange(M + 1)[:, None] + np.arange(l + 1)] - lf[: l + 1] - lf[: M + 1, None]
-    log_sq = np.zeros((len(j), len(k)))
-    for i in range(d):
-        log_sq += log_binom[j[:, i, None], k[:, i]]
-    log_sq += lf[M + d - 1] + lf[l] - lf[M + l + d - 1]
+    a_index = rank(sector_array(d, M)[rows, None], sector_array(d, l))
+    log_prefactor = math.log(math.comb(M + d - 1, d - 1) / math.comb(M + l + d - 1, d - 1))
+    log_sq = (log_prefactor + _sector_log_multinomials(d, M)[rows, None]
+              + _sector_log_multinomials(d, l))
+    log_sq -= _sector_log_multinomials(d, M + l)[a_index]
     log_sq *= 0.5
-    amp = np.exp(log_sq, out=log_sq)
-    amp.setflags(write=False)
-    return amp
+    return np.exp(log_sq, out=log_sq), a_index
 
 
 def log_multinomials(vectors) -> np.ndarray:
     """ln(n! / prod_i v_i!) for each occupation vector v of total n (rows of an int array)."""
     v = np.asarray(vectors, dtype=np.int64)
+    if v.min(initial=0) < 0:
+        raise ValueError(f"occupation numbers must be non-negative, got {int(v.min())}")
     totals = v.sum(axis=-1)
     if totals.max(initial=0) > MAX_FACTORIAL:
         raise ValueError(f"factorial bound exceeded: {int(totals.max())} > {MAX_FACTORIAL}")

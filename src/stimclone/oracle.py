@@ -165,7 +165,7 @@ def verify_ladder(d: int, N: int, j, perturbation: float = 0.0) -> dict:
     alone, so F^T H F is exactly tridiagonal with a zero diagonal and this is
     also the part outside span{F_{l-1}, F_{l+1}}; a deviation inside span(F)
     is `ladder_restriction`'s to catch.  The states, grouped by l, are also
-    compared with the row of input j in `clone_coefficients`
+    compared with row j of `clone_coefficients`, the one row it is asked for
     (`clone_table_match`).  A nonzero `perturbation` scales the reference
     coupling and serves as a fault-injection hook: the two checks that read
     R, `ladder_action` and `ladder_restriction`, must then fail.
@@ -182,8 +182,8 @@ def verify_ladder(d: int, N: int, j, perturbation: float = 0.0) -> dict:
     off_ladder_dev = np.max(np.linalg.norm(image - f @ restriction, axis=0))
     restriction_dev = np.max(np.abs(restriction - reference))
     # The F_l have disjoint supports, so their sum lists every l block in order.
-    row = rank(basis.j)
-    table = np.concatenate([clone_coefficients(d, basis.j.total(), l)[row] for l in range(N + 1)])
+    row, M = rank(basis.j), basis.j.total()
+    table = np.concatenate([clone_coefficients(d, M, l, row)[0] for l in range(N + 1)])
     table_dev = np.max(np.abs(f.sum(axis=1) - table))
     return _report([
         _check("ladder_action", action_dev, LADDER_ACTION_TOL),

@@ -29,8 +29,9 @@ for the target amplitudes t, with j only over the inputs with c_j != 0
 Neither forms the dense amplitude matrix or a density of the a or ab registers.
 
 `trace_out_b` forms the a x a density for callers that want it, from the same
-table and rho_in = c^T conj(c) (summed over components), without the dense
-a x b view: with G_k[rank(j + k), j] = amp[j, k],
+live rows of the table (with their ranks of j + k, both from
+`CloneOutput._live_rows`) and rho_in = c^T conj(c) (summed over components),
+without the dense a x b view: with G_k[rank(j + k), j] = amp[j, k],
 
     rho_a = sum_k G_k rho_in G_k^T,
 
@@ -49,7 +50,7 @@ from functools import cache
 import numpy as np
 
 from .cloner import CloneOutput, PureQudit, SymmetricDensity, expand_identical
-from .fock import clone_coefficients, rank, sector_array
+from .fock import rank, sector_array
 
 ISOTROPY_TOL = 1e-9
 
@@ -84,15 +85,12 @@ def trace_out_b(out: CloneOutput) -> SymmetricDensity:
 
     rho_a = sum_k G_k rho_in G_k^T with G_k[rank(j + k), j] = amp[j, k], summed
     in blocks of input rows of at most |A|^2 / 4 terms (module docstring).  One
-    body serves basis, pure and mixed outputs; only the input rows that are
-    nonzero in some component enter, so a basis output costs |K| terms.
+    body serves basis, pure and mixed outputs; only the input rows nonzero in
+    some component are built and summed, so a basis output costs |K| terms.
     """
-    amp = clone_coefficients(out.d, out.M, out.l)
-    c = out.inputs.reshape(-1, len(amp))
-    live = np.flatnonzero(c.any(axis=0))
-    c, amp = c[:, live], amp[live]
+    live, amp, a_index = out._live_rows()
+    c = out.inputs.reshape(-1, out.inputs.shape[-1])[:, live]
     rho_in = c.T @ c.conj()
-    a_index = rank(sector_array(out.d, out.M)[live, None], sector_array(out.d, out.l))
     n_a = len(out.a_basis)
     rho = np.zeros(n_a * n_a, dtype=complex)
     step = max(1, n_a * n_a // (4 * amp.size))

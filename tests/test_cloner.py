@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import stimclone
 from stimclone.cloner import (
     PureQudit,
     SymmetricDensity,
@@ -82,7 +83,7 @@ def test_clone_outputs_store_inputs_and_have_unit_norm(d, m, l, seed):
             clone_mixed(rho, l))
     assert [out.inputs.shape for out in outs] == [(len(basis),), (len(basis),), (rank, len(basis))]
     for out in outs:
-        coefficients = out.inputs[..., None] * clone_coefficients(d, m, l)
+        coefficients = out.inputs[..., None] * clone_coefficients(d, m, l)[0]
         assert coefficients.shape[-2:] == (len(basis), math.comb(l + d - 1, d - 1))
         assert abs(np.linalg.norm(coefficients) - 1.0) < 1e-12
 
@@ -107,16 +108,23 @@ def test_nonzero_rows_keep_the_rows_of_nonzero_inputs():
         assert not dropped.any()
 
 
-def test_constructors_check_the_shape_without_building_the_clone_table():
+def test_constructors_check_the_shape_without_building_the_clone_table(monkeypatch):
     for d in (2, 3, 6):
         for m in range(4):
             for l in range(4):
                 assert clone_shape(d, m, l) == (len(sector_array(d, m)), len(sector_array(d, l)))
-    clone_coefficients.cache_clear()
-    clone_pure(PureQudit(np.array([0.6, 0.0, 0.8j])), 2, 3)
-    clone_basis_state((0, 2, 0), 3)
-    clone_mixed(SymmetricDensity.maximally_mixed(3, 2), 3)
-    assert clone_coefficients.cache_info().currsize == 0
+
+    def refuse(*_):
+        raise AssertionError("a constructor built the clone table")
+
+    for module in (stimclone.fock, stimclone.cloner):
+        monkeypatch.setattr(module, "clone_coefficients", refuse)
+    outs = [clone_pure(PureQudit(np.array([0.6, 0.0, 0.8j])), 2, 3),
+            clone_basis_state((0, 2, 0), 3),
+            clone_mixed(SymmetricDensity.maximally_mixed(3, 2), 3)]
+    for out in outs:  # the table is read on use, through the patched builder
+        with pytest.raises(AssertionError, match="built the clone table"):
+            out.nonzero_rows()
     # |J| = C(199, 5) alone is above the entry bound: rejected before the input is expanded.
     v = np.array([0.5, 0.4, 0.4, 0.4, 0.4, 0.346])
     x = PureQudit(v / np.linalg.norm(v))

@@ -8,6 +8,8 @@ from itertools import permutations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import stimclone
 from stimclone.cloner import PureQudit, clone_basis_state, expand_identical
@@ -17,7 +19,7 @@ from stimclone.fock import (
     OccupationVector,
     clone_coefficients,
     enumerate_sector,
-    log_factorial,
+    log_multinomials,
     rank,
     sector_array,
 )
@@ -123,27 +125,41 @@ def test_sector_index_rejects_wrong_mode_count():
         enumerate_sector(3, 2).index((1, 1))
 
 
-def test_log_factorial_trivial_values():
-    assert log_factorial(0) == 0.0
-    assert log_factorial(1) == 0.0
+def _ones(n: int) -> np.ndarray:
+    # One occupation vector of n single photons in n modes: multinomial n!, so
+    # log_multinomials reads ln(n!) off the log-factorial table.
+    return np.ones((1, n), dtype=np.int64)
 
 
-def test_log_factorial_of_ten():
-    # Exact integer factorial oracle: 10! = 3628800.
+def test_log_multinomials_trivial_values():
+    # Totals 0 and 1 have multinomial 1: exact 0.0, so ln 0! = ln 1! = 0.0 in the table.
+    assert log_multinomials([[0, 0], [1, 0], [0, 1]]).tolist() == [0.0] * 3
+    assert log_multinomials([[0, 0, 0], [0, 1, 0]]).tolist() == [0.0] * 2
+    assert log_multinomials(_ones(0)).tolist() == [0.0]
+    assert log_multinomials([[1, 1]]).tolist() == [math.log(2)]
+
+
+def test_log_multinomials_of_ten():
+    # Exact integer factorial oracle: 10! = 3628800 and 10! / (3! 2! 5!) = 2520.
     assert math.factorial(10) == 3628800
-    assert log_factorial(10) == pytest.approx(math.log(3628800), rel=1e-12)
+    assert log_multinomials(_ones(10))[0] == pytest.approx(math.log(3628800), rel=1e-12)
+    assert log_multinomials([[3, 2, 5]])[0] == pytest.approx(math.log(2520), rel=1e-12)
 
 
-def test_log_factorial_domain():
+def test_log_multinomials_domain():
     with pytest.raises(ValueError):
-        log_factorial(-1)
+        log_multinomials([[-1, 2]])
     with pytest.raises(ValueError):
-        log_factorial(MAX_FACTORIAL + 1)
+        log_multinomials([[MAX_FACTORIAL, 1]])
+    with pytest.raises(ValueError):
+        log_multinomials(_ones(MAX_FACTORIAL + 1))
 
 
-def test_log_factorial_consecutive_differences():
+def test_log_multinomials_consecutive_differences():
+    # Row n holds n ones and MAX_FACTORIAL - n zeros: its value is ln(n!).
+    values = log_multinomials(np.tri(MAX_FACTORIAL + 1, MAX_FACTORIAL, -1, dtype=np.int64))
     for n in range(1, MAX_FACTORIAL + 1):
-        diff = log_factorial(n) - log_factorial(n - 1)
+        diff = values[n] - values[n - 1]
         assert abs(diff - math.log(n)) < 1e-12 * max(1.0, abs(math.log(n)))
 
 
@@ -151,7 +167,7 @@ def test_clone_amplitude_single_photon_values():
     # Exact-rational oracle gives 2/3 and 1/3 for the two emission channels.
     assert amplitude_squared((1, 0), (1, 0)) == Fraction(2, 3)
     assert amplitude_squared((1, 0), (0, 1)) == Fraction(1, 3)
-    amp = clone_coefficients(2, 1, 1)
+    amp, _ = clone_coefficients(2, 1, 1)
     row = rank((1, 0))
     assert amp[row, rank((1, 0))] == pytest.approx(math.sqrt(2 / 3), abs=1e-14)
     assert amp[row, rank((0, 1))] == pytest.approx(math.sqrt(1 / 3), abs=1e-14)
@@ -160,7 +176,7 @@ def test_clone_amplitude_single_photon_values():
 def test_clone_amplitude_without_emission_is_one():
     for d in (2, 3, 4):
         for m in (0, 1, 3):
-            amp = clone_coefficients(d, m, 0)
+            amp, _ = clone_coefficients(d, m, 0)
             assert amp.shape == (len(enumerate_sector(d, m)), 1)
             assert np.all(amp == 1.0)
 
@@ -171,7 +187,7 @@ def test_clone_amplitude_normalization(d):
     # oracle) and to 1 within 1e-12 in floating point.
     for m in range(5):
         for l in range(5):
-            amp = clone_coefficients(d, m, l)
+            amp, _ = clone_coefficients(d, m, l)
             ks = enumerate_sector(d, l)
             for j in enumerate_sector(d, m):
                 exact = sum(amplitude_squared(j, k) for k in ks)
@@ -185,7 +201,7 @@ def test_clone_amplitude_mode_permutation_symmetry():
         d = int(rng.integers(2, 5))
         j = tuple(int(v) for v in rng.integers(0, 3, size=d))
         k = tuple(int(v) for v in rng.integers(0, 3, size=d))
-        amp = clone_coefficients(d, sum(j), sum(k))
+        amp, _ = clone_coefficients(d, sum(j), sum(k))
         for perm in permutations(range(d)):
             jp = tuple(j[p] for p in perm)
             kp = tuple(k[p] for p in perm)
@@ -196,8 +212,7 @@ def test_clone_coefficients_match_scalar_amplitudes():
     for d in range(2, 5):
         for m in range(4):
             for l in range(4):
-                amp = clone_coefficients(d, m, l)
-                a_index = rank(sector_array(d, m)[:, None], sector_array(d, l))
+                amp, a_index = clone_coefficients(d, m, l)
                 js, ks = enumerate_sector(d, m), enumerate_sector(d, l)
                 a_basis = enumerate_sector(d, m + l)
                 assert amp.shape == a_index.shape == (len(js), len(ks))
@@ -207,10 +222,29 @@ def test_clone_coefficients_match_scalar_amplitudes():
                         assert a_basis[a_index[p, q]] == tuple(a + b for a, b in zip(j, k))
 
 
+@settings(derandomize=True, deadline=None, max_examples=50)
+@given(d=st.integers(2, 6), m=st.integers(0, 6), l=st.integers(0, 6), data=st.data())
+def test_clone_coefficients_at_rows_are_the_full_table_rows(d, m, l, data):
+    js, ks = sector_array(d, m), sector_array(d, l)
+    assert len(js) * len(ks) <= MAX_CLONE_ENTRIES
+    rows = np.array(data.draw(st.lists(st.integers(0, len(js) - 1), min_size=1, max_size=6,
+                                       unique=True)))
+    amp, a_index = clone_coefficients(d, m, l)
+    row_amp, row_index = clone_coefficients(d, m, l, rows)
+    assert np.array_equal(row_amp, amp[rows])  # bit for bit: each entry is built alone
+    assert np.array_equal(row_index, a_index[rows])
+    assert np.array_equal(row_index, rank(js[rows, None], ks))
+    one_amp, one_index = clone_coefficients(d, m, l, rows[0])
+    assert np.array_equal(one_amp, amp[rows[0]]) and np.array_equal(one_index, a_index[rows[0]])
+    for r, j in enumerate(js[rows].tolist()):
+        for q, k in enumerate(ks.tolist()):
+            assert abs(row_amp[r, q] ** 2 - amplitude_squared(j, k)) <= 1e-14
+
+
 def test_clone_coefficients_reject_oversized_shapes():
     # M + l + d - 1 is the largest factorial argument; one past the table must
     # raise ValueError, not index off its end.
-    amp = clone_coefficients(2, 150, MAX_FACTORIAL - 151)
+    amp, _ = clone_coefficients(2, 150, MAX_FACTORIAL - 151)
     assert np.all(np.isfinite(amp))
     for d, m, l in [(2, 150, MAX_FACTORIAL - 150), (2, 0, MAX_FACTORIAL), (3, MAX_FACTORIAL, 1)]:
         with pytest.raises(ValueError):

@@ -173,7 +173,7 @@ def test_embedded_clone_states_match_clone_table_rows():
                 for j in enumerate_sector(d, m):
                     basis = full_sector_basis(d, n, j)
                     for l in range(n + 1):
-                        row = clone_coefficients(d, m, l)[rank(j)]
+                        row = clone_coefficients(d, m, l, rank(j))[0]
                         expected = np.zeros(len(basis))
                         for q, k in enumerate(enumerate_sector(d, l)):
                             a = tuple(ji + ki for ji, ki in zip(j, k))
@@ -188,12 +188,11 @@ def test_verify_ladder_rejects_a_skewed_clone_table(monkeypatch):
     # clone_table_match, and only that check.
     table = oracle.clone_coefficients
 
-    def skewed(d, M, l):
-        amp = table(d, M, l)
+    def skewed(d, M, l, rows=slice(None)):
+        amp, a_index = table(d, M, l)
         if l == 1:
-            amp = amp.copy()
             amp[0, 0] *= 1 + 1e-6
-        return amp
+        return amp[rows], a_index[rows]
 
     monkeypatch.setattr(oracle, "clone_coefficients", skewed)
     report = verify_ladder(2, 2, (1, 0))

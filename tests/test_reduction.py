@@ -110,6 +110,31 @@ def test_trace_out_b_of_a_full_rank_mixed_output_stays_near_the_result_size():
     assert int(result.stdout) < 150 * 1024
 
 
+def test_fidelity_global_of_a_basis_output_builds_one_row_of_the_clone_table():
+    # clone_basis_state((6, 0, 0, 0, 0, 0), 12) has one live input row, |K| = 6,188
+    # entries, of the 462 x 6,188 table, whose build would raise the peak by about
+    # 49 MiB.  The input is 6 copies of x = e_0, so F is closed_form_global(6, 18, 6).
+    # VmHWM is the child's own peak in KiB (see test_fock).
+    script = (
+        "import numpy as np\n"
+        "from stimclone.cloner import PureQudit, clone_basis_state\n"
+        "from stimclone.reduction import fidelity_global\n"
+        "def peak():\n"
+        "    line = next(line for line in open('/proc/self/status') if line.startswith('VmHWM:'))\n"
+        "    return int(line.split()[1])\n"
+        "out, x = clone_basis_state((6, 0, 0, 0, 0, 0), 12), PureQudit(np.eye(6)[0])\n"
+        "before = peak()\n"
+        "f = fidelity_global(out, x)\n"
+        "print(peak() - before, repr(f))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(stimclone.__file__)))
+    result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                            env=env, check=True)
+    rise, f = result.stdout.split()
+    assert int(rise) < 10 * 1024
+    assert abs(float(f) - closed_form_global(6, 18, 6)) < 1e-14
+
+
 def test_reduce_to_single_concentrated_sector():
     basis = enumerate_sector(3, 4)
     rho = np.zeros((len(basis), len(basis)))
@@ -378,9 +403,12 @@ def test_reduce_to_single_of_clone_outputs_reads_no_clone_table(monkeypatch):
     def refuse(*_):
         raise AssertionError("reduce_to_single read the clone table")
 
-    monkeypatch.setattr(stimclone.reduction, "clone_coefficients", refuse)
+    for module in (stimclone.fock, stimclone.cloner):
+        monkeypatch.setattr(module, "clone_coefficients", refuse)
     for out, dense in zip(outs, expected):
         assert np.max(np.abs(reduce_to_single(out).matrix - dense)) < 1e-13
+    with pytest.raises(AssertionError, match="read the clone table"):
+        trace_out_b(outs[0])  # the patch is where the table is read
 
 
 def test_dense_route_comparison_catches_a_skewed_clone_table(monkeypatch):
@@ -388,18 +416,19 @@ def test_dense_route_comparison_catches_a_skewed_clone_table(monkeypatch):
     # trace_out_b reads the clone table and reduce_to_single does not, so moving weight
     # between two emission vectors k in one live row must show in their difference.
     rng = np.random.default_rng(48)
-    table = stimclone.reduction.clone_coefficients
+    table = stimclone.cloner.clone_coefficients
     for out in [clone_basis_state((1, 0, 2), 2), clone_pure(PureQudit.random(3, rng), 2, 3)]:
         row = np.flatnonzero(out.inputs)[0]
 
-        def skewed(d, m, l, row=row):
-            sq = table(d, m, l) ** 2
+        def skewed(d, m, l, rows=slice(None), row=row):
+            amp, a_index = table(d, m, l)
+            sq = amp ** 2
             sq[row, 0], sq[row, -1] = 0.5 * sq[row, 0], sq[row, -1] + 0.5 * sq[row, 0]
-            return np.sqrt(sq / sq.sum(axis=1, keepdims=True))
+            return np.sqrt(sq / sq.sum(axis=1, keepdims=True))[rows], a_index[rows]
 
         assert np.max(np.abs(reduce_to_single(out).matrix
                              - reduce_to_single(trace_out_b(out)).matrix)) < 1e-13
-        monkeypatch.setattr(stimclone.reduction, "clone_coefficients", skewed)
+        monkeypatch.setattr(stimclone.cloner, "clone_coefficients", skewed)
         dense = reduce_to_single(trace_out_b(out)).matrix
         monkeypatch.undo()
         assert np.max(np.abs(reduce_to_single(out).matrix - dense)) > 1e-6
