@@ -17,10 +17,10 @@ import numpy as np
 from .fock import (
     OccupationVector,
     SectorBasis,
+    _sector_log_multinomials,
     clone_coefficients,
     clone_shape,
     enumerate_sector,
-    log_multinomials,
     rank,
     sector_array,
 )
@@ -107,9 +107,10 @@ class CloneOutput:
     An input sum_j c_j |J[j]> of the (d, M) sector J clones to
     sum_{j,k} c_j amp[j, k] |J[j] + K[k]>_a |K[k]>_b, with K = b_basis and amp
     the table of `fock.clone_coefficients(d, M, l)`.  Only c is stored, as
-    `inputs`; the constructors check the shape with `fock.clone_shape`.  A read
-    builds amp and the a_basis ranks of J[j] + K[k] at the live rows alone, the
-    inputs nonzero in some component (`_live_rows`), and keeps neither.
+    `inputs` of shape (|J|,) or (components, |J|), checked on construction with
+    `fock.clone_shape`.  A read builds amp and the a_basis ranks of J[j] + K[k]
+    at the live rows alone, the inputs nonzero in some component (`_live_rows`),
+    and keeps neither.
 
     A mixed output has one leading component axis: inputs[i] = sqrt(p_i) v_i
     for the eigenpairs (p_i, v_i) of the input, and the joint density is the
@@ -122,6 +123,11 @@ class CloneOutput:
     M: int
     l: int
     inputs: np.ndarray
+
+    def __post_init__(self):
+        n_j, shape = clone_shape(self.d, self.M, self.l)[0], np.shape(self.inputs)
+        if len(shape) not in (1, 2) or shape[-1] != n_j:
+            raise ValueError(f"inputs must have shape ({n_j},) or (components, {n_j}), got {shape}")
 
     @property
     def L(self) -> int:
@@ -187,7 +193,7 @@ def expand_identical(x: PureQudit, M: int) -> np.ndarray:
     if M < 1:
         raise ValueError(f"number of copies must be >= 1, got {M}")
     j = sector_array(x.d, M)
-    return np.exp(0.5 * log_multinomials(j)) * np.prod(x.x ** j, axis=1)
+    return np.exp(0.5 * _sector_log_multinomials(x.d, M)) * np.prod(x.x ** j, axis=1)
 
 
 def clone_pure(x: PureQudit, M: int, l: int) -> CloneOutput:

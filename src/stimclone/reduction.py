@@ -22,9 +22,11 @@ one-body moment m[r, s] = Tr(rho_in a_s^dag a_r)
 
 the input's marginal m / M shrunk isotropically by eta = M (L + d) / (L (M + d))
 (Werner, Phys. Rev. A 58, 1827 (1998)); no clone table is read.  A density of
-L bosons is the case M = L, l = 0.  m is one pass over the flat table of
-`_hops`.  The L-copy fidelity is sum_k |sum_j conj(t_{j+k}) c_j amp[j, k]|^2
-for the target amplitudes t, with j only over the inputs with c_j != 0
+L bosons is the case M = L, l = 0.  m is the Gram matrix <a_s psi|a_r psi> of
+the lowered input, <P[p]| a_r |psi> = sqrt(P[p, r] + 1) c[rank(P[p] + e_r)] on
+the (d, M - 1) sector P (`_raising`), summed over components.  The L-copy
+fidelity is sum_k |sum_j conj(t_{j+k}) c_j amp[j, k]|^2 for the target
+amplitudes t, with j only over the inputs with c_j != 0
 (`CloneOutput.nonzero_rows`) and, for a mixed output, over its components.
 Neither forms the dense amplitude matrix or a density of the a or ab registers.
 
@@ -104,45 +106,36 @@ def trace_out_b(out: CloneOutput) -> SymmetricDensity:
 
 
 @cache
-def _hops(d: int, total: int) -> tuple:
-    """Every term of the operators a_s^dag a_r on the (d, total) sector, as flat arrays.
+def _raising(d: int, total: int) -> tuple:
+    """(up, root) with a_r^dag |P[p]> = root[p, r] |up[p, r]> on the (d, total) sector P.
 
-    Returns (rs, src, dst, root): term t takes the vector n in row src[t] to
-    n - e_r + e_s in row dst[t], with rs = r d + s.  For r != s (rows with
-    n_r > 0) root = sqrt(n_r (n_s + 1)); for r = s (every row) root = n_r.
+    up[p, r] is the rank of P[p] + e_r and root = sqrt(P + 1); both are empty for total < 0.
     """
-    vectors = sector_array(d, total)
-    src, r, s = np.nonzero((vectors[:, :, None] > 0) | np.eye(d, dtype=bool))
-    n_r, n_s1 = vectors[src, r], vectors[src, s] + 1
-    shifted = vectors[src]  # a fresh copy: fancy indexing
-    shifted[np.arange(len(src)), r] -= 1
-    shifted[np.arange(len(src)), s] += 1
-    root = np.where(r == s, n_r, np.sqrt(n_r * n_s1))
-    return r * d + s, src, rank(shifted), root
+    lower = sector_array(d, total) if total >= 0 else np.zeros((0, d), dtype=np.int64)
+    return rank(lower[:, None], np.eye(d, dtype=np.int64)), np.sqrt(lower + 1)
 
 
 def reduce_to_single(rho_L: SymmetricDensity | CloneOutput) -> SingleQuditDensity:
     """One-qudit marginal of an L-boson symmetric density or of a clone output.
 
     rho_1 = ((L + d) m + l I) / (L (M + d)) with m[r, s] = Tr(rho_in a_s^dag a_r),
-    by the emission law of the module docstring.  Only the input density is
-    read, never the clone table; a density is the case M = L, l = 0, so it may
-    have any total.
+    the Gram matrix of the lowered input, by the emission law of the module
+    docstring.  Only the input density is read, never the clone table; a density
+    is the case M = L, l = 0, so it may have any total.
     """
     d, cloned = rho_L.d, isinstance(rho_L, CloneOutput)
     M, L = (rho_L.M, rho_L.L) if cloned else (rho_L.total, rho_L.total)
     if L < 1:
         raise ValueError("single-qudit reduction needs at least one boson")
-    rs, src, dst, root = _hops(d, M)
+    up, root = _raising(d, M - 1)
     if cloned:
-        c = rho_L.inputs.reshape(-1, rho_L.inputs.shape[-1])
-        rho_in = (c[:, src] * c[:, dst].conj()).sum(axis=0)
+        lowered = (rho_L.inputs[..., up] * root).reshape(-1, d)  # [(i, p), r]: <P[p]| a_r |psi_i>
+        m = lowered.T @ lowered.conj()
     else:
-        rho_in = rho_L.matrix[src, dst]
-    terms = rho_in * root
-    m = np.bincount(rs, terms.real, d * d) + 1j * np.bincount(rs, terms.imag, d * d)
+        gathered = rho_L.matrix[up[:, :, None], up[:, None, :]]  # [p, r, s]: rho[up_pr, up_ps]
+        m = (root[:, :, None] * root[:, None, :] * gathered).sum(0)
     # The factor comes before the division by L: for a density it is exactly 1.0.
-    rho1 = (m.reshape(d, d) * ((L + d) / (M + d)) + np.eye(d) * ((L - M) / (M + d))) / L
+    rho1 = (m * ((L + d) / (M + d)) + np.eye(d) * ((L - M) / (M + d))) / L
     return SingleQuditDensity(0.5 * (rho1 + rho1.conj().T))
 
 

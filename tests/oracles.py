@@ -2,8 +2,8 @@
 
 Nothing here shares code with the package: coefficients come from exact
 integer factorial arithmetic, expansions from first-quantized enumeration
-over all d^M level assignments, and the one-body marginal from an explicit
-embedding into the full tensor-product space.
+over all d^M level assignments, and the one-body marginal and the optimal
+cloning maps from an explicit embedding into the full tensor-product space.
 """
 
 import math
@@ -68,6 +68,42 @@ def symmetric_embedding(vectors, d, L) -> np.ndarray:
                     idx = idx * d + level
                 emb[idx, col] = weight
     return emb
+
+
+def symmetric_projector(d, n) -> np.ndarray:
+    """Projector S_n onto the symmetric subspace of (C^d)^(tensor n)."""
+    emb = symmetric_embedding(list(compositions(n, d)), d, n)
+    return emb @ emb.T
+
+
+def _scaled_lift(rho_sector, vectors, d, L) -> np.ndarray:
+    """(d[M] / d[L]) rho ⊗ I^(tensor L-M) for a density of the M-boson sector `vectors`."""
+    M = sum(vectors[0])
+    emb = symmetric_embedding(vectors, d, M)
+    ratio = math.comb(M + d - 1, d - 1) / math.comb(L + d - 1, d - 1)
+    return ratio * np.kron(emb @ rho_sector @ emb.T, np.eye(d ** (L - M)))
+
+
+def werner_clone_map(rho_sector, vectors, d, L) -> np.ndarray:
+    """Werner's optimal M -> L cloner (d[M]/d[L]) S_L (rho ⊗ I^(tensor l)) S_L, first-quantized.
+
+    rho_sector is a density of the M-boson sector indexed by `vectors`, with d[n] the
+    dimension of the n-boson sector (Werner, Phys. Rev. A 58, 1827 (1998)).
+    """
+    s_L = symmetric_projector(d, L)
+    return s_L @ _scaled_lift(rho_sector, vectors, d, L) @ s_L
+
+
+def anticlone_map(rho_sector, vectors, d, L) -> np.ndarray:
+    """The b-register map (d[M]/d[L]) (Tr_M[(rho ⊗ I^(tensor l)) S_L])^T on l = L - M qudits.
+
+    It is the optimal measure-and-prepare map of the complex conjugate; for qubits,
+    the universal NOT (Buzek, Hillery & Werner, Phys. Rev. A 60, R2626 (1999)).
+    """
+    joint = _scaled_lift(rho_sector, vectors, d, L) @ symmetric_projector(d, L)
+    n = d ** sum(vectors[0])
+    k = d ** L // n
+    return np.einsum("iaib->ab", joint.reshape(n, k, n, k)).T
 
 
 def first_quantized_single_marginal(rho_sector, vectors, d, L) -> np.ndarray:

@@ -32,7 +32,13 @@ from stimclone.reduction import (
     trace_out_b,
 )
 
-from oracles import first_quantized_single_marginal, random_density
+from oracles import (
+    anticlone_map,
+    first_quantized_single_marginal,
+    random_density,
+    symmetric_embedding,
+    werner_clone_map,
+)
 
 
 def simulate_single_fidelity(x, m, l):
@@ -89,49 +95,62 @@ def test_trace_out_b_forms_neither_the_dense_view_nor_nonzero_rows(monkeypatch):
         assert np.max(np.abs(trace_out_b(out).matrix - dense)) < 1e-13
 
 
-def test_trace_out_b_of_a_full_rank_mixed_output_stays_near_the_result_size():
-    # 70 components, |J| = 70, |K| = 210, |A| = 1,001: the a x a result is 16 MB, while
-    # the dense 70 x 1,001 x 210 a x b view alone would hold 235 MB.  VmHWM is the
-    # child's own peak in KiB (see test_fock).
+def _child_peak_rise(setup, call):
+    """Run `setup`, then `call`, in a fresh interpreter: (VmHWM rise of `call` in KiB, repr(f)).
+
+    VmHWM is the child's own peak in KiB (see test_fock); `call` may bind f.
+    """
     script = (
-        "from stimclone.cloner import SymmetricDensity, clone_mixed\n"
-        "from stimclone.reduction import trace_out_b\n"
         "def peak():\n"
         "    line = next(line for line in open('/proc/self/status') if line.startswith('VmHWM:'))\n"
         "    return int(line.split()[1])\n"
-        "out = clone_mixed(SymmetricDensity.maximally_mixed(5, 4), 6)\n"
+        f"{setup}\n"
+        "f = None\n"
         "before = peak()\n"
-        "trace_out_b(out)\n"
-        "print(peak() - before)\n"
-    )
-    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(stimclone.__file__)))
-    result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
-                            env=env, check=True)
-    assert int(result.stdout) < 150 * 1024
-
-
-def test_fidelity_global_of_a_basis_output_builds_one_row_of_the_clone_table():
-    # clone_basis_state((6, 0, 0, 0, 0, 0), 12) has one live input row, |K| = 6,188
-    # entries, of the 462 x 6,188 table, whose build would raise the peak by about
-    # 49 MiB.  The input is 6 copies of x = e_0, so F is closed_form_global(6, 18, 6).
-    # VmHWM is the child's own peak in KiB (see test_fock).
-    script = (
-        "import numpy as np\n"
-        "from stimclone.cloner import PureQudit, clone_basis_state\n"
-        "from stimclone.reduction import fidelity_global\n"
-        "def peak():\n"
-        "    line = next(line for line in open('/proc/self/status') if line.startswith('VmHWM:'))\n"
-        "    return int(line.split()[1])\n"
-        "out, x = clone_basis_state((6, 0, 0, 0, 0, 0), 12), PureQudit(np.eye(6)[0])\n"
-        "before = peak()\n"
-        "f = fidelity_global(out, x)\n"
+        f"{call}\n"
         "print(peak() - before, repr(f))\n"
     )
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(stimclone.__file__)))
     result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                             env=env, check=True)
     rise, f = result.stdout.split()
-    assert int(rise) < 10 * 1024
+    return int(rise), f
+
+
+def test_trace_out_b_of_a_full_rank_mixed_output_stays_near_the_result_size():
+    # 70 components, |J| = 70, |K| = 210, |A| = 1,001: the a x a result is 16 MB, while
+    # the dense 70 x 1,001 x 210 a x b view alone would hold 235 MB.
+    rise, _ = _child_peak_rise(
+        "from stimclone.cloner import SymmetricDensity, clone_mixed\n"
+        "from stimclone.reduction import trace_out_b\n"
+        "out = clone_mixed(SymmetricDensity.maximally_mixed(5, 4), 6)",
+        "trace_out_b(out)")
+    assert rise < 150 * 1024
+
+
+def test_reduce_to_single_of_a_full_rank_mixed_output_reads_only_the_lowered_input():
+    # 462 components, |J| = 462: the lowered input is 462 x 252 x 6 complex entries,
+    # 11 MiB, while gathering the inputs at each of the 10,332 a_s^dag a_r terms of
+    # the (6, 6) sector takes 73 MiB per temporary and raised the peak by 214 MiB.
+    rise, _ = _child_peak_rise(
+        "from stimclone.cloner import SymmetricDensity, clone_mixed\n"
+        "from stimclone.reduction import reduce_to_single\n"
+        "out = clone_mixed(SymmetricDensity.maximally_mixed(6, 6), 6)",
+        "reduce_to_single(out)")
+    assert rise < 64 * 1024
+
+
+def test_fidelity_global_of_a_basis_output_builds_one_row_of_the_clone_table():
+    # clone_basis_state((6, 0, 0, 0, 0, 0), 12) has one live input row, |K| = 6,188
+    # entries, of the 462 x 6,188 table, whose build would raise the peak by about
+    # 49 MiB.  The input is 6 copies of x = e_0, so F is closed_form_global(6, 18, 6).
+    rise, f = _child_peak_rise(
+        "import numpy as np\n"
+        "from stimclone.cloner import PureQudit, clone_basis_state\n"
+        "from stimclone.reduction import fidelity_global\n"
+        "out, x = clone_basis_state((6, 0, 0, 0, 0, 0), 12), PureQudit(np.eye(6)[0])",
+        "f = fidelity_global(out, x)")
+    assert rise < 10 * 1024
     assert abs(float(f) - closed_form_global(6, 18, 6)) < 1e-14
 
 
@@ -412,7 +431,8 @@ def test_reduce_to_single_of_clone_outputs_reads_no_clone_table(monkeypatch):
 
 
 def test_dense_route_comparison_catches_a_skewed_clone_table(monkeypatch):
-    # Negative control for test_reduce_to_single_from_coefficients_matches_dense_route:
+    # Negative control for test_reduce_to_single_from_coefficients_matches_dense_route
+    # and for the a-register identity of test_both_output_registers_are_the_optimal_maps:
     # trace_out_b reads the clone table and reduce_to_single does not, so moving weight
     # between two emission vectors k in one live row must show in their difference.
     rng = np.random.default_rng(48)
@@ -426,12 +446,16 @@ def test_dense_route_comparison_catches_a_skewed_clone_table(monkeypatch):
             sq[row, 0], sq[row, -1] = 0.5 * sq[row, 0], sq[row, -1] + 0.5 * sq[row, 0]
             return np.sqrt(sq / sq.sum(axis=1, keepdims=True))[rows], a_index[rows]
 
-        assert np.max(np.abs(reduce_to_single(out).matrix
-                             - reduce_to_single(trace_out_b(out)).matrix)) < 1e-13
+        werner = werner_clone_map(np.outer(out.inputs, out.inputs.conj()),
+                                  list(enumerate_sector(3, out.M)), 3, out.L)
+        rho_a = trace_out_b(out)
+        assert np.max(np.abs(_first_quantized(rho_a.matrix, out.a_basis) - werner)) < 1e-13
+        assert np.max(np.abs(reduce_to_single(out).matrix - reduce_to_single(rho_a).matrix)) < 1e-13
         monkeypatch.setattr(stimclone.cloner, "clone_coefficients", skewed)
-        dense = reduce_to_single(trace_out_b(out)).matrix
+        rho_a = trace_out_b(out)
         monkeypatch.undo()
-        assert np.max(np.abs(reduce_to_single(out).matrix - dense)) > 1e-6
+        assert np.max(np.abs(reduce_to_single(out).matrix - reduce_to_single(rho_a).matrix)) > 1e-6
+        assert np.max(np.abs(_first_quantized(rho_a.matrix, out.a_basis) - werner)) > 1e-6
 
 
 def test_fidelity_global_from_coefficients_matches_dense_overlap():
@@ -516,14 +540,59 @@ def test_mixed_clone_one_copy_marginal_is_an_isotropically_shrunk_density(d, m, 
     assert fit.eta == pytest.approx(float(Fraction(m * (L + d), L * (m + d))), abs=1e-10)
 
 
+def _first_quantized(matrix, basis):
+    """An operator on the sector `basis`, embedded into (C^d)^(tensor total)."""
+    emb = symmetric_embedding(list(basis), basis.d, basis.total)
+    return emb @ matrix @ emb.T
+
+
+def _b_register(out):
+    """b-register density of a clone output, by an explicit partial trace of the dense view."""
+    amps = out.amplitudes.reshape(-1, len(out.a_basis), len(out.b_basis))
+    return _first_quantized(np.einsum("cpq,cpr->qr", amps, amps.conj()), out.b_basis)
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(d=st.integers(2, 3), m=st.integers(1, 3), l=st.integers(0, 3),
+       rank=st.integers(1, 10), seed=st.integers(0, 2**32 - 1))
+def test_both_output_registers_are_the_optimal_maps(d, m, l, rank, seed):
+    # The a register is Werner's optimal cloner of the input and the b register the
+    # optimal measure-and-prepare map of its conjugate, compared on (C^d)^(tensor L)
+    # with d^L <= 3^6.  Werner's map is unitarily covariant, so this also covers the
+    # covariance of the whole L-copy state.
+    basis = enumerate_sector(d, m)
+    rho = random_density(len(basis), min(rank, len(basis)), np.random.default_rng(seed))
+    out = clone_mixed(SymmetricDensity(basis, rho), l)
+    werner = werner_clone_map(rho, list(basis), d, m + l)
+    assert np.max(np.abs(_first_quantized(trace_out_b(out).matrix, out.a_basis) - werner)) < 1e-13
+    anticlones = anticlone_map(rho, list(basis), d, m + l)
+    assert np.max(np.abs(_b_register(out) - anticlones)) < 1e-13
+
+
+def test_b_register_identity_needs_the_transpose_for_a_complex_input():
+    # Negative control: the anti-clones carry the conjugate of a complex input, so
+    # the b-register map without its transpose must fail.
+    basis = enumerate_sector(3, 2)
+    rho = random_density(len(basis), 3, np.random.default_rng(49))
+    out = clone_mixed(SymmetricDensity(basis, rho), 2)
+    anticlones = anticlone_map(rho, list(basis), 3, 4)
+    assert np.max(np.abs(_b_register(out) - anticlones)) < 1e-13
+    assert np.max(np.abs(_b_register(out) - anticlones.T)) > 1e-3
+
+
 @pytest.mark.parametrize("build", [
     lambda: SymmetricDensity(enumerate_sector(2, 1), np.eye(3) / 3),
     lambda: SingleQuditDensity(np.ones(3) / 3),
     lambda: fidelity_global(clone_basis_state((1, 0), 1), PureQudit(np.ones(3) / math.sqrt(3))),
     lambda: shrinking_factor(SingleQuditDensity(np.eye(2) / 2), SingleQuditDensity(np.eye(3) / 3)),
     lambda: expand_identical(PureQudit(np.array([1.0, 0.0])), MAX_FACTORIAL + 1),
+    # |J| = 2 for (d, M) = (2, 1): three inputs, one input, or a third axis is not a clone output.
+    lambda: reduce_to_single(CloneOutput(2, 1, 1, np.ones(3))),
+    lambda: trace_out_b(CloneOutput(2, 1, 1, np.array([1.0]))),
+    lambda: CloneOutput(2, 1, 1, np.ones((1, 1, 2))),
 ], ids=["symmetric-density-shape", "single-density-shape", "global-fidelity-dimension",
-        "shrinking-dimension", "factorial-bound"])
+        "shrinking-dimension", "factorial-bound", "clone-output-input-count",
+        "clone-output-single-input", "clone-output-axes"])
 def test_library_input_checks_raise(build):
     with pytest.raises(ValueError):
         build()
