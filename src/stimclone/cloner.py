@@ -108,7 +108,7 @@ class CloneOutput:
     sum_{j,k} c_j amp[j, k] |J[j] + K[k]>_a |K[k]>_b, with K = b_basis and amp
     the table of `fock.clone_coefficients(d, M, l)`.  Only c is stored, as
     `inputs` of shape (|J|,) or (components, |J|), checked on construction with
-    `fock.clone_shape`.  A read builds amp and the a_basis ranks of J[j] + K[k]
+    `fock.clone_shape` and for a nonzero entry.  A read builds amp and the a_basis ranks of J[j] + K[k]
     at the live rows alone, the inputs nonzero in some component (`_live_rows`),
     and keeps neither.
 
@@ -128,6 +128,8 @@ class CloneOutput:
         n_j, shape = clone_shape(self.d, self.M, self.l)[0], np.shape(self.inputs)
         if len(shape) not in (1, 2) or shape[-1] != n_j:
             raise ValueError(f"inputs must have shape ({n_j},) or (components, {n_j}), got {shape}")
+        if not self.inputs.any():
+            raise ValueError("inputs must have a nonzero entry")
 
     @property
     def L(self) -> int:

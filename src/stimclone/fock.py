@@ -10,7 +10,7 @@ that no factorial is ever formed in floating point.
 
 import math
 from dataclasses import dataclass
-from functools import cache, reduce
+from functools import cache
 from itertools import chain, combinations
 
 import numpy as np
@@ -21,7 +21,8 @@ MAX_FACTORIAL = 200
 
 # Largest |J| x |K| table `clone_coefficients` builds.  A full build peaks at
 # about 24 bytes per entry (amp, a_index, one temporary), 72 MB at this bound;
-# the whole (6, 6, 12) table (2,858,856 entries) fits and adds 70 MiB.
+# the whole (6, 6, 12) table (2,858,856 entries) fits and adds 70 MiB, its
+# ranks alone 43 MiB.
 MAX_CLONE_ENTRIES = 3_000_000
 
 # ln(n!) from the exact integer factorial, so each entry is correct to 1 ulp.
@@ -158,7 +159,16 @@ def rank(*parts) -> np.ndarray:
     # tails[p][..., i] = photons of part p after mode i; the tails of a sum add.
     tails = [np.cumsum(np.asarray(v, np.int64)[..., :0:-1], axis=-1)[..., ::-1] for v in parts]
     table = _rank_table(tails[0].shape[-1] + 1, sum(int(t.max(initial=0)) for t in tails))
-    return sum(row[reduce(np.add, (t[..., i] for t in tails))] for i, row in enumerate(table))
+    # One index buffer, looked up in place: every tail sum is a valid column, and
+    # mode="clip" keeps take from buffering `out` as the default mode does.
+    shape = np.broadcast_shapes(*(t.shape[:-1] for t in tails))
+    buf, result = np.empty(shape, np.int64), np.zeros(shape, np.int64)
+    for i, row in enumerate(table):
+        buf[...] = tails[0][..., i]
+        for t in tails[1:]:
+            buf += t[..., i]
+        result += row.take(buf, out=buf, mode="clip")
+    return result[()]
 
 
 def clone_shape(d: int, M: int, l: int) -> tuple[int, int]:

@@ -46,7 +46,6 @@ quarter of the |A|^2 result.
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cache
 
 import numpy as np
@@ -166,16 +165,16 @@ def _check_cloning_shape(M: int, L: int, d: int) -> None:
 
 
 def closed_form_single(M: int, L: int, d: int) -> float:
-    """Optimal single-copy fidelity (M(L+d) + L - M) / (L(M+d)), exact rational."""
+    """Optimal single-copy fidelity (M(L+d) + L - M) / (L(M+d)), correctly rounded."""
     _check_cloning_shape(M, L, d)
-    return float(Fraction(M * (L + d) + L - M, L * (M + d)))
+    return (M * (L + d) + L - M) / (L * (M + d))
 
 
 def closed_form_global(M: int, L: int, d: int) -> float:
-    """Optimal L-copy fidelity d[M] / d[L], exact rational, with d[n] = C(n+d-1, d-1) the
+    """Optimal L-copy fidelity d[M] / d[L], correctly rounded, with d[n] = C(n+d-1, d-1) the
     symmetric-subspace dimension of n qudits (Werner, Phys. Rev. A 58, 1827 (1998))."""
     _check_cloning_shape(M, L, d)
-    return float(Fraction(math.comb(M + d - 1, d - 1), math.comb(L + d - 1, d - 1)))
+    return math.comb(M + d - 1, d - 1) / math.comb(L + d - 1, d - 1)
 
 
 @dataclass(frozen=True)

@@ -14,14 +14,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import stimclone
 from stimclone.cli import MAX_CLONE_RECORDS, MAX_VERIFY_SAMPLES, main
 from stimclone.cloner import CloneOutput, PureQudit, clone_basis_state, clone_pure
 from stimclone.fock import MAX_CLONE_ENTRIES, enumerate_sector
 from stimclone.ladder import MAX_LADDER_ATOMS
 
+from child import child_env, run_python, run_script
 from oracles import amplitude_squared, first_quantized_single_marginal, identical_expansion
-
-SRC_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "src")
 
 
 def run_cli(capsys, argv):
@@ -36,12 +36,37 @@ def parse_csv(text):
 
 
 def run_subprocess(argv):
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.path.abspath(SRC_DIR) + os.pathsep + env.get("PYTHONPATH", "")
-    return subprocess.run(
-        [sys.executable, "-m", "stimclone", *argv],
-        capture_output=True, env=env,
-    )
+    return run_python("-m", "stimclone", *argv)
+
+
+def test_a_child_imports_this_process_stimclone():
+    result = run_script("import stimclone\nprint(stimclone.__file__)")
+    assert os.path.realpath(result.stdout.strip()) == os.path.realpath(stimclone.__file__)
+
+
+@pytest.mark.parametrize("args, code", [
+    ("verify --samples 20 --json", 0),
+    ("evolve --d 6 --m 6 --n 1000 --tau 3 --format json", 0),
+    ("clone --d 6 --j 3,0,1,0,2,0 --l 6 --format json", 0),
+    ("clone --d 6 --j 6,0,0,0,0,0 --l 12", 0),
+    ("clone --j 0,0,0 --l 3", 0),
+    # The corner of the fidelity ranges: d = 6, M = 6, L up to 12.
+    ("fidelity --d 6 --m 6 --l-max 12", 0),
+    # One atom above the ladder bound.
+    ("evolve --d 2 --m 0 --n 10001 --tau 1", 2),
+    # The input-sector side of the entry bound, checked before the input is expanded.
+    ("clone --x 0.5,0.4,0.4,0.4,0.4,0.346 --m 194 --l 0", 2),
+])
+def test_cli_exit_codes(capsys, args, code):
+    # Commands that no other test here runs; each json document must parse.
+    try:
+        got = main(args.split())
+    except SystemExit as exc:
+        got = exc.code
+    out = capsys.readouterr().out
+    assert got == code
+    if code == 0 and "json" in args:
+        json.loads(out)
 
 
 def test_fidelity_one_to_two_qubits(capsys):
@@ -200,6 +225,29 @@ def test_clone_normalizes_x_far_from_unit_length(capsys, x):
                                [doc["fidelity"]]])
 
     np.testing.assert_allclose(report(x), report("1,1"), rtol=0, atol=1e-15)
+
+
+def test_clone_of_no_input_photon_has_the_maximally_mixed_marginal(capsys):
+    # M = 0: only the l I term of the one-copy marginal remains, I/3.
+    code, out, _ = run_cli(capsys, ["clone", "--j", "0,0,0", "--l", "3", "--format", "json"])
+    assert code == 0
+    reduced = np.array(json.loads(out)["reduced"]) @ [1, 1j]
+    assert np.max(np.abs(reduced - np.eye(3) / 3)) < 1e-15
+
+
+def test_clone_pure_marginal_is_the_shrunk_input(capsys):
+    # eta x x^dag + (1 - eta) I/d with eta = M (L + d) / (L (M + d)); the listing is
+    # the bytes json.dumps writes.
+    code, out, _ = run_cli(capsys, ["clone", "--x", "0.6+0.2i,0.5-0.1i,0.3", "--m", "3", "--l", "4",
+                                    "--format", "json"])
+    assert code == 0
+    doc = json.loads(out)
+    assert out == json.dumps(doc) + "\n"
+    params = doc["params"]
+    x, reduced = np.array(params["x"]) @ [1, 1j], np.array(doc["reduced"]) @ [1, 1j]
+    d, M, L = len(x), params["m"], params["m"] + params["l"]
+    eta = M * (L + d) / (L * (M + d))
+    assert np.max(np.abs(reduced - eta * np.outer(x, x.conj()) - (1 - eta) * np.eye(d) / d)) < 1e-14
 
 
 def test_clone_mixed_mode_basis_input_has_no_reference_fidelity(capsys):
@@ -470,6 +518,7 @@ def test_clone_rejects_oversized_table(capsys):
 def test_clone_rejects_oversized_listing_at_once(capsys):
     # 21 input rows x 7,381 emission vectors: one record above the bound at d = 3.
     # At d = 30 the bound shrinks by 6/30, so 7 x 4,960 records are too many.
+    assert MAX_CLONE_RECORDS == 155_000
     wide = ",".join(["1"] * 7 + ["0"] * 23)
     for argv, limit in ((["--x", "0.6,0.5,0.4", "--m", "5", "--l", "120"], MAX_CLONE_RECORDS),
                         (["--x", wide, "--m", "1", "--l", "3"], MAX_CLONE_RECORDS // 5)):
@@ -485,21 +534,14 @@ def test_clone_rejects_oversized_listing_at_once(capsys):
 def test_clone_counts_records_before_forming_them():
     # 462 live input rows x 6,188 emission vectors = 2,858,856 records at d = 6.
     # The count needs only the inputs and |K|, and no clone table is built, so
-    # the process peak stays near that of a small run.  VmHWM is the child's own
-    # peak in KiB; its ru_maxrss would also carry the peak of the process that
-    # spawned it, which Linux records at exec.
-    script = (
+    # the process peak stays near that of a small run.
+    result = run_script(
         "from stimclone.cli import main\n"
         "try:\n"
         "    main(['clone', '--x', '0.5,0.4,0.4,0.4,0.4,0.346', '--m', '6', '--l', '12'])\n"
         "except SystemExit as exc:\n"
-        "    peak = next(line for line in open('/proc/self/status') if line.startswith('VmHWM:'))\n"
-        "    print(exc.code, peak.split()[1])\n"
+        "    print(exc.code, peak())\n"
     )
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.path.abspath(SRC_DIR) + os.pathsep + env.get("PYTHONPATH", "")
-    result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
-                            env=env, check=True)
     code, peak_kib = map(int, result.stdout.split())
     assert code == 2
     assert "2858856 amplitude records > 155000" in result.stderr
@@ -511,18 +553,13 @@ def test_clone_json_listing_is_one_line_near_the_result_size():
     # line, assembled from text formatted once per occupation vector: this run
     # peaked at 83 MiB on a 2-vCPU VM, at 94 MiB when json's C encoder wrote
     # one dict per record, and at about 185 MiB with the indented pure-Python
-    # encoder.  VmHWM is the child's own peak in KiB.
-    script = (
+    # encoder.
+    result = run_script(
         "import sys\n"
         "from stimclone.cli import main\n"
         "code = main(['clone', '--j', '1,0,0,0,0,0', '--l', '20', '--format', 'json'])\n"
-        "peak = next(line for line in open('/proc/self/status') if line.startswith('VmHWM:'))\n"
-        "print(code, peak.split()[1], file=sys.stderr)\n"
+        "print(code, peak(), file=sys.stderr)\n"
     )
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.path.abspath(SRC_DIR) + os.pathsep + env.get("PYTHONPATH", "")
-    result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
-                            env=env, check=True)
     code, peak_kib = map(int, result.stderr.split())
     assert code == 0
     assert result.stdout.count("\n") == 1 and result.stdout.endswith("}\n")
@@ -535,18 +572,13 @@ def test_clone_pure_json_listing_formats_each_vector_once():
     # which use only 6,786 distinct a-vectors and 6,216 b-vectors.  Each vector
     # is formatted once: this run peaked at 99 MiB on a 2-vCPU VM, and at 143 MiB
     # when every record carried its own lists into json's encoder.
-    script = (
+    result = run_script(
         "import sys\n"
         "from stimclone.cli import main\n"
         "code = main(['clone', '--x', '0.6,0.5,0.4', '--m', '5', '--l', '110',\n"
         "             '--format', 'json'])\n"
-        "peak = next(line for line in open('/proc/self/status') if line.startswith('VmHWM:'))\n"
-        "print(code, peak.split()[1], file=sys.stderr)\n"
+        "print(code, peak(), file=sys.stderr)\n"
     )
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.path.abspath(SRC_DIR) + os.pathsep + env.get("PYTHONPATH", "")
-    result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
-                            env=env, check=True)
     code, peak_kib = map(int, result.stderr.split())
     assert code == 0
     assert len(json.loads(result.stdout)["amplitudes"]) == 130_536
@@ -557,11 +589,9 @@ def test_closed_stdout_ends_quietly():
     # The csv is 408 KB, far above a 64 KiB pipe buffer, so a write after the
     # reader has closed always fails.  The CLI then exits as SIGPIPE would stop
     # it, with status 128 + 13 and no traceback.
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.path.abspath(SRC_DIR) + os.pathsep + env.get("PYTHONPATH", "")
     proc = subprocess.Popen(
         [sys.executable, "-m", "stimclone", "clone", "--d", "6", "--j", "6,0,0,0,0,0", "--l", "12"],
-        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=child_env(),
     )
     assert proc.stdout.readline().startswith(b"record,")
     proc.stdout.close()
@@ -572,7 +602,7 @@ def test_closed_stdout_ends_quietly():
 
 
 def test_cli_import_and_fidelity_run_do_not_load_scipy():
-    script = (
+    result = run_python("-c", (
         "import contextlib, io, sys\n"
         "import stimclone.cli\n"
         "assert 'scipy' not in sys.modules, 'import'\n"
@@ -580,10 +610,7 @@ def test_cli_import_and_fidelity_run_do_not_load_scipy():
         "    code = stimclone.cli.main(['fidelity', '--d', '3', '--m', '1', '--l-max', '3'])\n"
         "assert code == 0\n"
         "assert 'scipy' not in sys.modules, 'fidelity'\n"
-    )
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.path.abspath(SRC_DIR) + os.pathsep + env.get("PYTHONPATH", "")
-    result = subprocess.run([sys.executable, "-c", script], capture_output=True, env=env)
+    ))
     assert result.returncode == 0, result.stderr.decode()
 
 

@@ -1,7 +1,4 @@
 import math
-import os
-import subprocess
-import sys
 import time
 from fractions import Fraction
 from itertools import permutations
@@ -11,7 +8,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import stimclone
 from stimclone.cloner import PureQudit, clone_basis_state, expand_identical
 from stimclone.fock import (
     MAX_CLONE_ENTRIES,
@@ -24,6 +20,7 @@ from stimclone.fock import (
     sector_array,
 )
 
+from child import peak_rise
 from oracles import amplitude_squared, compositions
 
 
@@ -266,19 +263,16 @@ def test_clone_coefficients_reject_oversized_tables_before_allocating():
 
 def test_clone_coefficients_build_stays_near_the_result_size():
     # The (6, 6, 12) table holds 2,858,856 floats (23 MB); building it must
-    # not form |J| x |K| x d temporaries.  VmHWM is the child's own peak in KiB;
-    # its ru_maxrss would start at the peak of the process that spawned it,
-    # which Linux records at exec, and so read no rise inside a large run.
-    script = (
-        "from stimclone.fock import clone_coefficients\n"
-        "def peak():\n"
-        "    line = next(line for line in open('/proc/self/status') if line.startswith('VmHWM:'))\n"
-        "    return int(line.split()[1])\n"
-        "before = peak()\n"
-        "clone_coefficients(6, 6, 12)\n"
-        "print(peak() - before)\n"
-    )
-    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(stimclone.__file__)))
-    result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
-                            env=env, check=True)
-    assert int(result.stdout) < 100 * 1024
+    # not form |J| x |K| x d temporaries.
+    rise, _ = peak_rise("from stimclone.fock import clone_coefficients", "clone_coefficients(6, 6, 12)")
+    assert rise < 100 * 1024
+
+
+def test_rank_of_a_sum_stays_near_the_result_size():
+    # The 462 x 6,188 ranks of the (6, 6, 12) clone table are 22 MiB of int64.  One
+    # index buffer looked up in place adds one more; a gathered temporary per mode,
+    # summed, raised the peak by 66 MiB.
+    rise, _ = peak_rise("from stimclone.fock import rank, sector_array\n"
+                        "a, b = sector_array(6, 6)[:, None], sector_array(6, 12)",
+                        "rank(a, b)")
+    assert rise < 55 * 1024

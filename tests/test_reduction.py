@@ -1,7 +1,4 @@
 import math
-import os
-import subprocess
-import sys
 from fractions import Fraction
 
 import numpy as np
@@ -32,6 +29,7 @@ from stimclone.reduction import (
     trace_out_b,
 )
 
+from child import peak_rise
 from oracles import (
     anticlone_map,
     first_quantized_single_marginal,
@@ -95,32 +93,10 @@ def test_trace_out_b_forms_neither_the_dense_view_nor_nonzero_rows(monkeypatch):
         assert np.max(np.abs(trace_out_b(out).matrix - dense)) < 1e-13
 
 
-def _child_peak_rise(setup, call):
-    """Run `setup`, then `call`, in a fresh interpreter: (VmHWM rise of `call` in KiB, repr(f)).
-
-    VmHWM is the child's own peak in KiB (see test_fock); `call` may bind f.
-    """
-    script = (
-        "def peak():\n"
-        "    line = next(line for line in open('/proc/self/status') if line.startswith('VmHWM:'))\n"
-        "    return int(line.split()[1])\n"
-        f"{setup}\n"
-        "f = None\n"
-        "before = peak()\n"
-        f"{call}\n"
-        "print(peak() - before, repr(f))\n"
-    )
-    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(stimclone.__file__)))
-    result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
-                            env=env, check=True)
-    rise, f = result.stdout.split()
-    return int(rise), f
-
-
 def test_trace_out_b_of_a_full_rank_mixed_output_stays_near_the_result_size():
     # 70 components, |J| = 70, |K| = 210, |A| = 1,001: the a x a result is 16 MB, while
     # the dense 70 x 1,001 x 210 a x b view alone would hold 235 MB.
-    rise, _ = _child_peak_rise(
+    rise, _ = peak_rise(
         "from stimclone.cloner import SymmetricDensity, clone_mixed\n"
         "from stimclone.reduction import trace_out_b\n"
         "out = clone_mixed(SymmetricDensity.maximally_mixed(5, 4), 6)",
@@ -132,7 +108,7 @@ def test_reduce_to_single_of_a_full_rank_mixed_output_reads_only_the_lowered_inp
     # 462 components, |J| = 462: the lowered input is 462 x 252 x 6 complex entries,
     # 11 MiB, while gathering the inputs at each of the 10,332 a_s^dag a_r terms of
     # the (6, 6) sector takes 73 MiB per temporary and raised the peak by 214 MiB.
-    rise, _ = _child_peak_rise(
+    rise, _ = peak_rise(
         "from stimclone.cloner import SymmetricDensity, clone_mixed\n"
         "from stimclone.reduction import reduce_to_single\n"
         "out = clone_mixed(SymmetricDensity.maximally_mixed(6, 6), 6)",
@@ -144,7 +120,7 @@ def test_fidelity_global_of_a_basis_output_builds_one_row_of_the_clone_table():
     # clone_basis_state((6, 0, 0, 0, 0, 0), 12) has one live input row, |K| = 6,188
     # entries, of the 462 x 6,188 table, whose build would raise the peak by about
     # 49 MiB.  The input is 6 copies of x = e_0, so F is closed_form_global(6, 18, 6).
-    rise, f = _child_peak_rise(
+    rise, f = peak_rise(
         "import numpy as np\n"
         "from stimclone.cloner import PureQudit, clone_basis_state\n"
         "from stimclone.reduction import fidelity_global\n"
@@ -590,9 +566,11 @@ def test_b_register_identity_needs_the_transpose_for_a_complex_input():
     lambda: reduce_to_single(CloneOutput(2, 1, 1, np.ones(3))),
     lambda: trace_out_b(CloneOutput(2, 1, 1, np.array([1.0]))),
     lambda: CloneOutput(2, 1, 1, np.ones((1, 1, 2))),
+    # An input with no nonzero entry is no state.
+    lambda: trace_out_b(CloneOutput(3, 2, 1, np.zeros(6))),
 ], ids=["symmetric-density-shape", "single-density-shape", "global-fidelity-dimension",
         "shrinking-dimension", "factorial-bound", "clone-output-input-count",
-        "clone-output-single-input", "clone-output-axes"])
+        "clone-output-single-input", "clone-output-axes", "clone-output-all-zero"])
 def test_library_input_checks_raise(build):
     with pytest.raises(ValueError):
         build()
