@@ -3,7 +3,7 @@
 Library layout:
 
 * `fock`: occupation-vector bases and the cloning-coefficient table
-* `ladder`: tridiagonal emission-ladder Hamiltonian and time evolution
+* `ladder`: emission-ladder couplings and their time evolution
 * `cloner`: output states for basis, identical-pure and mixed inputs
 * `reduction`: partial traces, fidelities and closed-form references
 * `oracle`: brute-force full-Fock-space verifier; derives the clone states
@@ -19,7 +19,6 @@ from .fock import (
 )
 from .ladder import (
     EvolutionProfile,
-    LadderHamiltonian,
     evolve,
     ladder_matrix,
 )
@@ -60,7 +59,6 @@ __all__ = [
     "SectorBasis",
     "enumerate_sector",
     "EvolutionProfile",
-    "LadderHamiltonian",
     "evolve",
     "ladder_matrix",
     "CloneOutput",

@@ -46,29 +46,6 @@ MAX_PHASE = 2**32
 
 
 @dataclass(frozen=True)
-class LadderHamiltonian:
-    """Restriction of the cloning Hamiltonian to the emission ladder, fixed by its N couplings."""
-
-    offdiag: tuple[float, ...]
-
-    @property
-    def N(self) -> int:
-        return len(self.offdiag)
-
-    @property
-    def size(self) -> int:
-        return self.N + 1
-
-    def matrix(self) -> np.ndarray:
-        """Dense (N+1) x (N+1) real symmetric matrix, zero diagonal."""
-        h = np.zeros((self.size, self.size))
-        off = np.asarray(self.offdiag)
-        h[np.arange(self.N), np.arange(1, self.size)] = off
-        h[np.arange(1, self.size), np.arange(self.N)] = off
-        return h
-
-
-@dataclass(frozen=True)
 class EvolutionProfile:
     """Amplitudes f_l(t) for finding l additional copies at time t."""
 
@@ -79,8 +56,12 @@ class EvolutionProfile:
         return np.abs(self.amplitudes) ** 2
 
 
-def ladder_matrix(d: int, N: int, M: int, gamma: float = 1.0) -> LadderHamiltonian:
-    """Build the emission-ladder Hamiltonian for d modes, N atoms, M photons."""
+def ladder_matrix(d: int, N: int, M: int, gamma: float = 1.0) -> np.ndarray:
+    """The emission ladder for d modes, N atoms and M photons, as its N couplings.
+
+    Returns offdiag, a read-only float64 array of length N; the ladder
+    Hamiltonian is np.diag(offdiag, 1) + np.diag(offdiag, -1).
+    """
     if d < 2:
         raise ValueError(f"qudit dimension must be >= 2, got {d}")
     if not 1 <= N <= MAX_LADDER_ATOMS:
@@ -91,11 +72,13 @@ def ladder_matrix(d: int, N: int, M: int, gamma: float = 1.0) -> LadderHamiltoni
         raise ValueError(f"coupling gamma must be positive and finite, got {gamma}")
     # In floats, so a large M cannot overflow; every factor is an exact float.
     l = np.arange(N, dtype=float)
-    return LadderHamiltonian(tuple((gamma * np.sqrt((l + 1) * (N - l) * (M + l + d))).tolist()))
+    off = gamma * np.sqrt((l + 1) * (N - l) * (M + l + d))
+    off.setflags(write=False)
+    return off
 
 
-def evolve(h: LadderHamiltonian, t: float) -> EvolutionProfile:
-    """Amplitudes f_l(t) = <l| exp(-i H t) |0> of the emission ladder.
+def evolve(h: np.ndarray, t: float) -> EvolutionProfile:
+    """Amplitudes f_l(t) = <l| exp(-i H t) |0> of the ladder with couplings h.
 
     From the module docstring's blocks: U (cos(sigma t) U[0]) + u_0 u_0[0] on
     even l and -i W (I - D/2) (sin(sigma t) U[0]) on odd l.  Unitarity holds
@@ -106,8 +89,9 @@ def evolve(h: LadderHamiltonian, t: float) -> EvolutionProfile:
     """
     from scipy.linalg import eigh_tridiagonal
 
-    off = np.asarray(h.offdiag)
-    n_even, n_odd = h.N // 2 + 1, (h.N + 1) // 2
+    off = np.asarray(h, dtype=float)
+    N = len(off)
+    n_even, n_odd = N // 2 + 1, (N + 1) // 2
     # B[i, i] = off[2i] couples rung 2i to 2i+1, B[i+1, i] = off[2i+1]
     # couples rung 2i+2 to 2i+1.
     diag, sub = off[0::2], off[1::2]
@@ -127,7 +111,7 @@ def evolve(h: LadderHamiltonian, t: float) -> EvolutionProfile:
     if not float(sigma.max()) * abs(float(t)) < MAX_PHASE:
         raise ValueError(f"phases sigma * t must be finite and below {MAX_PHASE}, got t = {t}")
     sigma_t = sigma * float(t)
-    f = np.zeros(h.size, dtype=complex)
+    f = np.zeros(N + 1, dtype=complex)
     f.real[0::2] = u @ (np.cos(sigma_t) * u[0]) + zero @ zero[0]
     y = np.sin(sigma_t) * u[0]
     wy = w @ y

@@ -175,7 +175,8 @@ def verify_ladder(d: int, N: int, j, perturbation: float = 0.0) -> dict:
     """
     basis, h = build_full_hamiltonian(d, N, j)
     f = basis.clone_states
-    reference = ladder_matrix(d, N, basis.j.total(), 1.0 + perturbation).matrix()
+    off = ladder_matrix(d, N, basis.j.total(), 1.0 + perturbation)
+    reference = np.diag(off, 1) + np.diag(off, -1)
     image = h @ f
     restriction = f.T @ image
     action_dev = np.max(np.abs(image - f @ reference))

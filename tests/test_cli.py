@@ -459,18 +459,6 @@ def test_unknown_subcommand_exits_2(capsys):
     capsys.readouterr()
 
 
-def test_repeated_runs_are_byte_identical():
-    for argv in (
-        ["verify", "--samples", "3", "--format", "json"],
-        ["fidelity", "--d", "2", "--m", "1", "--l-max", "3"],
-    ):
-        first = run_subprocess(argv)
-        second = run_subprocess(argv)
-        assert first.returncode == 0
-        assert first.stdout == second.stdout
-        assert first.stderr == second.stderr
-
-
 def test_evolve_rejects_oversized_ladder(capsys):
     start = time.perf_counter()
     with pytest.raises(SystemExit) as exc:

@@ -216,17 +216,6 @@ def test_clone_mixed_of_basis_projector_is_outer_product():
     assert np.max(np.abs(dens.to_density() - ref)) < 1e-12
 
 
-def test_clone_mixed_reduces_to_clone_pure_on_rank_one_inputs():
-    rng = np.random.default_rng(23)
-    for d, m, l in [(2, 1, 1), (2, 2, 2), (3, 2, 1)]:
-        x = PureQudit.random(d, rng)
-        c = expand_identical(x, m)
-        rho = SymmetricDensity(enumerate_sector(d, m), np.outer(c, c.conj()))
-        dens = clone_mixed(rho, l)
-        ref = clone_pure(x, m, l).to_density()
-        assert np.max(np.abs(dens.to_density() - ref)) < 1e-12
-
-
 def test_clone_mixed_is_linear():
     rng = np.random.default_rng(24)
     for d, m, l in [(2, 1, 1), (2, 2, 2), (3, 1, 2), (3, 2, 1)]:

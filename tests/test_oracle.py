@@ -159,7 +159,8 @@ def test_ladder_restriction_matches_ladder_matrix_on_desk_grid():
         basis, h = build_full_hamiltonian(d, n, j)
         embedded = np.column_stack([embed_clone_state(basis, l) for l in range(n + 1)])
         restricted = embedded.T @ h @ embedded
-        reference = ladder_matrix(d, n, sum(j), 1.0).matrix()
+        off = ladder_matrix(d, n, sum(j), 1.0)
+        reference = np.diag(off, 1) + np.diag(off, -1)
         assert np.max(np.abs(restricted - reference)) < 1e-12
 
 
