@@ -275,7 +275,8 @@ def cmd_clone(args) -> int:
     if size > limit:
         raise ValueError(f"clone listing too large: {size} amplitude records > "
                          f"{limit}, the MAX_CLONE_RECORDS bound at d = {out.d}")
-    coefficients, a_index = out.nonzero_rows()
+    live, amp, a_index = out.live_rows()
+    coefficients = out.inputs[..., live, None] * amp
     rho1 = reduce_to_single(out) if out.L >= 1 else None
     fidelity = None if rho1 is None or x is None else fidelity_single(rho1, x)
     reduced = None if rho1 is None else [[[z.real, z.imag] for z in row]

@@ -80,7 +80,11 @@ class SymmetricDensity:
             raise ValueError(f"expected a {n}x{n} matrix, got shape {mat.shape}")
         if not np.all(np.isfinite(mat)):
             raise ValueError("density matrix entries must be finite")
-        if np.max(np.abs(mat - mat.conj().T)) > _HERMITICITY_TOL:
+        # |mat - mat^H|^2 = (Re - Re^T)^2 + (Im + Im^T)^2, in place: one density of temporaries.
+        re, im = mat.real - mat.real.T, mat.imag + mat.imag.T
+        re *= re
+        re += np.square(im, out=im)
+        if np.sqrt(np.max(re)) > _HERMITICITY_TOL:
             raise ValueError("density matrix is not Hermitian")
         if abs(np.trace(mat).real - 1.0) > _TRACE_TOL:
             raise ValueError(f"density matrix trace is {float(np.trace(mat).real)}, expected 1")
@@ -108,9 +112,9 @@ class CloneOutput:
     sum_{j,k} c_j amp[j, k] |J[j] + K[k]>_a |K[k]>_b, with K = b_basis and amp
     the table of `fock.clone_coefficients(d, M, l)`.  Only c is stored, as
     `inputs` of shape (|J|,) or (components, |J|), checked on construction with
-    `fock.clone_shape` and for a nonzero entry.  A read builds amp and the a_basis ranks of J[j] + K[k]
-    at the live rows alone, the inputs nonzero in some component (`_live_rows`),
-    and keeps neither.
+    `fock.clone_shape` and for a nonzero entry.  `live_rows()` is the one
+    accessor of the table: it builds amp and the a_basis ranks of J[j] + K[k] at
+    the live rows alone, the inputs nonzero in some component, and keeps neither.
 
     A mixed output has one leading component axis: inputs[i] = sqrt(p_i) v_i
     for the eigenpairs (p_i, v_i) of the input, and the joint density is the
@@ -143,26 +147,19 @@ class CloneOutput:
     def b_basis(self) -> SectorBasis:
         return enumerate_sector(self.d, self.l)
 
-    def _live_rows(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def live_rows(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(live, amp, a_index): the input rows nonzero in any component, and their clone table.
 
-        A basis output has one live row, a pure output one per c_j != 0.
+        a_index[r, k] is the a_basis position of J[live[r]] + K[k].  A basis output
+        has one live row, a pure output one per c_j != 0.
         """
         live = np.flatnonzero(self.inputs.reshape(-1, self.inputs.shape[-1]).any(axis=0))
         return (live, *clone_coefficients(self.d, self.M, self.l, live))
 
-    def nonzero_rows(self) -> tuple[np.ndarray, np.ndarray]:
-        """(coefficients, a_index) on the input rows that are nonzero in any component.
-
-        coefficients[..., r, k] = c_j amp[j, k] for the r-th such row j, and
-        a_index[r, k] is the a_basis position of J[j] + K[k].
-        """
-        live, amp, a_index = self._live_rows()
-        return self.inputs[..., live, None] * amp, a_index
-
     @property
     def amplitudes(self) -> np.ndarray:
-        coefficients, a_index = self.nonzero_rows()
+        live, amp, a_index = self.live_rows()
+        coefficients = self.inputs[..., live, None] * amp
         shape = self.inputs.shape[:-1] + (len(self.a_basis), len(self.b_basis))
         amps = np.zeros(shape, dtype=coefficients.dtype)
         amps[..., a_index, np.arange(len(self.b_basis))] = coefficients

@@ -116,8 +116,8 @@ def sector_array(d: int, total: int) -> np.ndarray:
     if total < 0:
         raise ValueError(f"total photon number must be >= 0, got {total}")
     size = math.comb(total + d - 1, d - 1)
-    # Every a-occupation of a clone splits as j + k, so |A| <= |J| x |K|: each sector
-    # a clone output reads fits this bound, and oracle sectors hold at most 4,096.
+    # This caps one sector (|A| <= |J| x |K|; oracle sectors hold at most 4,096), not
+    # what is built from it: the |A|^2 density of `trace_out_b` or a clone's dense views.
     if size > MAX_CLONE_ENTRIES:
         raise ValueError(f"sector too large: {size} vectors > {MAX_CLONE_ENTRIES}")
     bars = np.full((size, d + 1), -1, dtype=np.int64)

@@ -25,15 +25,15 @@ the input's marginal m / M shrunk isotropically by eta = M (L + d) / (L (M + d))
 L bosons is the case M = L, l = 0.  m is the Gram matrix <a_s psi|a_r psi> of
 the lowered input, <P[p]| a_r |psi> = sqrt(P[p, r] + 1) c[rank(P[p] + e_r)] on
 the (d, M - 1) sector P (`_raising`), summed over components.  The L-copy
-fidelity is sum_k |sum_j conj(t_{j+k}) c_j amp[j, k]|^2 for the target
-amplitudes t, with j only over the inputs with c_j != 0
-(`CloneOutput.nonzero_rows`) and, for a mixed output, over its components.
+fidelity is sum_k |sum_j c_j conj(t_{j+k}) amp[j, k]|^2 for the target
+amplitudes t, with j over the live rows (`CloneOutput.live_rows`), summed over
+the components of a mixed output: one matrix product, a gemv or a gemm.
 Neither forms the dense amplitude matrix or a density of the a or ab registers.
 
 `trace_out_b` forms the a x a density for callers that want it, from the same
-live rows of the table (with their ranks of j + k, both from
-`CloneOutput._live_rows`) and rho_in = c^T conj(c) (summed over components),
-without the dense a x b view: with G_k[rank(j + k), j] = amp[j, k],
+live rows of the table and their ranks of j + k (`CloneOutput.live_rows`) and
+rho_in = c^T conj(c) (summed over components), without the dense a x b view:
+with G_k[rank(j + k), j] = amp[j, k],
 
     rho_a = sum_k G_k rho_in G_k^T,
 
@@ -89,7 +89,7 @@ def trace_out_b(out: CloneOutput) -> SymmetricDensity:
     body serves basis, pure and mixed outputs; only the input rows nonzero in
     some component are built and summed, so a basis output costs |K| terms.
     """
-    live, amp, a_index = out._live_rows()
+    live, amp, a_index = out.live_rows()
     c = out.inputs.reshape(-1, out.inputs.shape[-1])[:, live]
     rho_in = c.T @ c.conj()
     n_a = len(out.a_basis)
@@ -146,12 +146,12 @@ def fidelity_single(rho1: SingleQuditDensity, x: PureQudit) -> float:
 
 
 def fidelity_global(out: CloneOutput, x: PureQudit) -> float:
-    """Overlap of the full L-copy output with L perfect copies of x."""
+    """Overlap of the full L-copy output with L perfect copies of x, in one matrix product."""
     if out.d != x.d:
         raise ValueError(f"dimension mismatch: output is {out.d}-level, qudit is {x.d}-level")
     target = expand_identical(x, out.L)
-    coefficients, a_index = out.nonzero_rows()
-    overlaps = np.sum(target[a_index].conj() * coefficients, axis=-2)
+    live, amp, a_index = out.live_rows()
+    overlaps = out.inputs[..., live] @ (target[a_index].conj() * amp)
     return float(np.sum(np.abs(overlaps) ** 2))
 
 

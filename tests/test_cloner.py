@@ -18,6 +18,7 @@ from stimclone.cloner import (
 )
 from stimclone.fock import clone_coefficients, clone_shape, enumerate_sector, sector_array
 
+from child import peak_rise
 from oracles import amplitude_squared, identical_expansion, random_density
 
 
@@ -88,22 +89,21 @@ def test_clone_outputs_store_inputs_and_have_unit_norm(d, m, l, seed):
         assert abs(np.linalg.norm(coefficients) - 1.0) < 1e-12
 
 
-def test_nonzero_rows_keep_the_rows_of_nonzero_inputs():
+def test_clone_table_accessor_keeps_the_rows_of_nonzero_inputs():
     basis = enumerate_sector(3, 2)
     rho = np.diag([0.0, 0.7, 0.3, 0.0, 0.0, 0.0])  # each component is nonzero on one input
     outs = (clone_basis_state((0, 2, 0), 2),
             clone_pure(PureQudit(np.array([0.6, 0.0, 0.8j])), 2, 2),
             clone_mixed(SymmetricDensity(basis, rho), 2))
-    for out, live in zip(outs, ([3], [0, 2, 5], [1, 2])):
-        coefficients, a_index = out.nonzero_rows()
-        assert a_index.shape == coefficients.shape[-2:] == (len(live), len(out.b_basis))
+    for out, expected in zip(outs, ([3], [0, 2, 5], [1, 2])):
+        live, amp, a_index = out.live_rows()
+        assert live.tolist() == expected
+        assert a_index.shape == amp.shape == (len(live), len(out.b_basis))
         for r, j in enumerate(live):
-            c = out.inputs[..., j]
             for k, b_vec in enumerate(out.b_basis):
                 a_vec = tuple(x + y for x, y in zip(basis[j], b_vec))
                 assert a_index[r, k] == out.a_basis.index(a_vec)
-                amp = math.sqrt(amplitude_squared(basis[j], b_vec))
-                assert np.max(np.abs(coefficients[..., r, k] - c * amp)) < 1e-15
+                assert abs(amp[r, k] - math.sqrt(amplitude_squared(basis[j], b_vec))) < 1e-15
         dropped = np.delete(out.inputs, live, axis=-1)
         assert not dropped.any()
 
@@ -124,7 +124,7 @@ def test_constructors_check_the_shape_without_building_the_clone_table(monkeypat
             clone_mixed(SymmetricDensity.maximally_mixed(3, 2), 3)]
     for out in outs:  # the table is read on use, through the patched builder
         with pytest.raises(AssertionError, match="built the clone table"):
-            out.nonzero_rows()
+            out.live_rows()
     # |J| = C(199, 5) alone is above the entry bound: rejected before the input is expanded.
     v = np.array([0.5, 0.4, 0.4, 0.4, 0.4, 0.346])
     x = PureQudit(v / np.linalg.norm(v))
@@ -249,6 +249,31 @@ def test_clone_mixed_rejects_non_densities():
     indefinite = SymmetricDensity(basis, np.diag([1.05, -0.05]))
     with pytest.raises(ValueError):
         clone_mixed(indefinite, 1)
+
+
+def test_symmetric_density_checks_both_parts_for_hermiticity():
+    basis = enumerate_sector(2, 1)
+    for hermitian in ([[0.5, 0.3j], [-0.3j, 0.5]], [[0.5, 5e-13j], [0.0, 0.5]]):
+        SymmetricDensity(basis, np.array(hermitian))
+    # |mat - mat^H| peaks at 0.6, 2e-12, 2e-12 and 4e-12, the last on the diagonal.
+    for skewed in ([[0.5, 0.3j], [0.3j, 0.5]], [[0.5, 2e-12], [0.0, 0.5]],
+                   [[0.5, 2e-12j], [0.0, 0.5]], [[0.5 + 2e-12j, 0.0], [0.0, 0.5]]):
+        with pytest.raises(ValueError, match="^density matrix is not Hermitian$"):
+            SymmetricDensity(basis, np.array(skewed))
+
+
+def test_symmetric_density_checks_hermiticity_within_one_and_a_half_densities():
+    # The (6, 9) sector has 2,002 vectors, so the complex density holds 61 MiB.  A
+    # complex difference and its absolute value raised the peak by 122 MiB.
+    rise, _ = peak_rise(
+        "import numpy as np\n"
+        "from stimclone.cloner import SymmetricDensity\n"
+        "from stimclone.fock import enumerate_sector\n"
+        "basis = enumerate_sector(6, 9)\n"
+        "mat = np.full((len(basis), len(basis)), 0j)  # every page touched\n"
+        "np.fill_diagonal(mat, 1 / len(basis))",
+        "SymmetricDensity(basis, mat)")
+    assert rise < 92 * 1024
 
 
 def test_clone_mixed_clips_roundoff_negativity():

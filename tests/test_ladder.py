@@ -77,17 +77,6 @@ def test_single_atom_rabi_oscillation():
         assert probs[1] == pytest.approx(math.sin(math.sqrt(3) * t) ** 2, abs=1e-12)
 
 
-def test_unitarity_over_random_draws():
-    rng = np.random.default_rng(11)
-    for _ in range(100):
-        d = int(rng.integers(2, 5))
-        n = int(rng.integers(1, 9))
-        m = int(rng.integers(0, 5))
-        t = float(rng.uniform(0.0, 10.0))
-        probs = evolve(ladder_matrix(d, n, m), t).probabilities
-        assert abs(probs.sum() - 1.0) < 1e-10
-
-
 def test_two_mode_couplings_formula():
     # At d = 2 the off-diagonals are sqrt((l+1)(N-l)(i+j+l+2)) with i+j = M.
     for n in (1, 3, 5):

@@ -101,13 +101,6 @@ def test_verify_ladder_qubit_pair_couplings():
     assert restricted[1, 2] == pytest.approx(math.sqrt(10), abs=1e-12)
 
 
-def test_verify_ladder_passes_on_desk_grid():
-    for d, n, j in DESK_SECTORS:
-        report = verify_ladder(d, n, j)
-        assert report["pass"], report
-        assert max(c["max_deviation"] for c in report["checks"]) < 1e-10
-
-
 def test_verify_evolution_at_zero_time():
     report = verify_evolution(2, 2, (1, 0), t=0.0)
     assert report["pass"]
