@@ -17,10 +17,10 @@ import numpy as np
 from .fock import (
     OccupationVector,
     SectorBasis,
-    _sector_log_multinomials,
     clone_coefficients,
     clone_shape,
     enumerate_sector,
+    log_multinomials,
     rank,
     sector_array,
 )
@@ -192,7 +192,7 @@ def expand_identical(x: PureQudit, M: int) -> np.ndarray:
     if M < 1:
         raise ValueError(f"number of copies must be >= 1, got {M}")
     j = sector_array(x.d, M)
-    return np.exp(0.5 * _sector_log_multinomials(x.d, M)) * np.prod(x.x ** j, axis=1)
+    return np.exp(0.5 * log_multinomials(x.d, M)) * np.prod(x.x ** j, axis=1)
 
 
 def clone_pure(x: PureQudit, M: int, l: int) -> CloneOutput:

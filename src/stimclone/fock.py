@@ -130,9 +130,15 @@ def sector_array(d: int, total: int) -> np.ndarray:
 
 
 @cache
-def _sector_log_multinomials(d: int, total: int) -> np.ndarray:
-    """Read-only `log_multinomials` of the (d, total) sector, in canonical order."""
-    table = log_multinomials(sector_array(d, total))
+def log_multinomials(d: int, total: int) -> np.ndarray:
+    """Read-only ln(total! / prod_i v_i!) for each vector v of the (d, total) sector.
+
+    One entry per row of `sector_array(d, total)`, in canonical order.
+    """
+    vectors = sector_array(d, total)
+    if total > MAX_FACTORIAL:
+        raise ValueError(f"factorial bound exceeded: {total} > {MAX_FACTORIAL}")
+    table = _LOG_FACTORIAL_TABLE[total] - _LOG_FACTORIAL_TABLE[vectors].sum(axis=-1)
     table.setflags(write=False)
     return table
 
@@ -211,19 +217,8 @@ def clone_coefficients(d: int, M: int, l: int, rows=slice(None)) -> tuple[np.nda
     clone_shape(d, M, l)
     a_index = rank(sector_array(d, M)[rows, None], sector_array(d, l))
     log_prefactor = math.log(math.comb(M + d - 1, d - 1) / math.comb(M + l + d - 1, d - 1))
-    log_sq = (log_prefactor + _sector_log_multinomials(d, M)[rows, None]
-              + _sector_log_multinomials(d, l))
-    log_sq -= _sector_log_multinomials(d, M + l)[a_index]
+    log_sq = log_prefactor + log_multinomials(d, M)[rows, None] + log_multinomials(d, l)
+    log_sq -= log_multinomials(d, M + l)[a_index]
     log_sq *= 0.5
     return np.exp(log_sq, out=log_sq), a_index
 
-
-def log_multinomials(vectors) -> np.ndarray:
-    """ln(n! / prod_i v_i!) for each occupation vector v of total n (rows of an int array)."""
-    v = np.asarray(vectors, dtype=np.int64)
-    if v.min(initial=0) < 0:
-        raise ValueError(f"occupation numbers must be non-negative, got {int(v.min())}")
-    totals = v.sum(axis=-1)
-    if totals.max(initial=0) > MAX_FACTORIAL:
-        raise ValueError(f"factorial bound exceeded: {int(totals.max())} > {MAX_FACTORIAL}")
-    return _LOG_FACTORIAL_TABLE[totals] - _LOG_FACTORIAL_TABLE[v].sum(axis=-1)

@@ -100,7 +100,8 @@ def trace_out_b(out: CloneOutput) -> SymmetricDensity:
         pairs = (a_index[rows, None] * n_a + a_index).ravel()
         np.add.at(rho, pairs, (rho_in[rows, :, None] * (amp[rows, None] * amp)).ravel())
     rho = rho.reshape(n_a, n_a)
-    rho = 0.5 * (rho + rho.conj().T)
+    rho += rho.conj().T
+    rho *= 0.5
     return SymmetricDensity(out.a_basis, rho)
 
 

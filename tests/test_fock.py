@@ -122,41 +122,38 @@ def test_sector_index_rejects_wrong_mode_count():
         enumerate_sector(3, 2).index((1, 1))
 
 
-def _ones(n: int) -> np.ndarray:
-    # One occupation vector of n single photons in n modes: multinomial n!, so
-    # log_multinomials reads ln(n!) off the log-factorial table.
-    return np.ones((1, n), dtype=np.int64)
-
-
 def test_log_multinomials_trivial_values():
     # Totals 0 and 1 have multinomial 1: exact 0.0, so ln 0! = ln 1! = 0.0 in the table.
-    assert log_multinomials([[0, 0], [1, 0], [0, 1]]).tolist() == [0.0] * 3
-    assert log_multinomials([[0, 0, 0], [0, 1, 0]]).tolist() == [0.0] * 2
-    assert log_multinomials(_ones(0)).tolist() == [0.0]
-    assert log_multinomials([[1, 1]]).tolist() == [math.log(2)]
+    for d in (2, 3):
+        assert log_multinomials(d, 0).tolist() == [0.0]
+        assert log_multinomials(d, 1).tolist() == [0.0] * d
+    # (2, 0), (1, 1), (0, 2): multinomials 1, 2, 1.
+    assert log_multinomials(2, 2).tolist() == [0.0, math.log(2), 0.0]
 
 
 def test_log_multinomials_of_ten():
     # Exact integer factorial oracle: 10! = 3628800 and 10! / (3! 2! 5!) = 2520.
     assert math.factorial(10) == 3628800
-    assert log_multinomials(_ones(10))[0] == pytest.approx(math.log(3628800), rel=1e-12)
-    assert log_multinomials([[3, 2, 5]])[0] == pytest.approx(math.log(2520), rel=1e-12)
+    ones = rank(np.ones(10, dtype=np.int64))
+    assert log_multinomials(10, 10)[ones] == pytest.approx(math.log(3628800), rel=1e-12)
+    assert log_multinomials(3, 10)[rank((3, 2, 5))] == pytest.approx(math.log(2520), rel=1e-12)
 
 
 def test_log_multinomials_domain():
+    assert len(log_multinomials(2, MAX_FACTORIAL)) == MAX_FACTORIAL + 1
+    with pytest.raises(ValueError, match="factorial bound exceeded"):
+        log_multinomials(2, MAX_FACTORIAL + 1)
     with pytest.raises(ValueError):
-        log_multinomials([[-1, 2]])
+        log_multinomials(1, 3)
     with pytest.raises(ValueError):
-        log_multinomials([[MAX_FACTORIAL, 1]])
-    with pytest.raises(ValueError):
-        log_multinomials(_ones(MAX_FACTORIAL + 1))
+        log_multinomials(2, -1)
 
 
 def test_log_multinomials_consecutive_differences():
-    # Row n holds n ones and MAX_FACTORIAL - n zeros: its value is ln(n!).
-    values = log_multinomials(np.tri(MAX_FACTORIAL + 1, MAX_FACTORIAL, -1, dtype=np.int64))
+    # Row 1 of the (2, n) sector is (n - 1, 1): ln(n! / (n - 1)!), which must be ln n.
     for n in range(1, MAX_FACTORIAL + 1):
-        diff = values[n] - values[n - 1]
+        assert sector_array(2, n)[1].tolist() == [n - 1, 1]
+        diff = log_multinomials(2, n)[1]
         assert abs(diff - math.log(n)) < 1e-12 * max(1.0, abs(math.log(n)))
 
 
