@@ -7,14 +7,14 @@ row dicts its json embeds, or for `clone` only the form its output needs.
 --out PATH with a short human-readable table (6 significant digits) echoed
 to stdout.  Machine formats always carry full round-trip precision.  All
 sampling is driven by --seed (default printed to stderr), so identical flags
-produce identical bytes.  A json document is one line, written by the json
-module's C encoder (`python -m json.tool` indents it).  The `clone` listing
-is assembled from text formatted once per occupation vector, byte-identical
-to what json.dumps writes for the same document.  Exit codes: 0 success, 1
-check failure, 2 usage error, which covers every ValueError of the library,
-inputs above a declared bound and an --out path that cannot be written, and
-141 (128 + SIGPIPE) when the reader of stdout closes it early, as with
-`| head`.
+produce identical bytes on one machine, BLAS build and BLAS thread count.  A
+json document is one line, written by the json module's C encoder
+(`python -m json.tool` indents it).  The `clone` listing is assembled from
+text formatted once per occupation vector, byte-identical to what json.dumps
+writes for the same document.  Exit codes: 0 success, 1 check failure, 2
+usage error, which covers every ValueError of the library, inputs above a
+declared bound and an --out path that cannot be written, and 141 (128 +
+SIGPIPE) when the reader of stdout closes it early, as with `| head`.
 """
 
 import argparse

@@ -110,11 +110,11 @@ class CloneOutput:
 
     An input sum_j c_j |J[j]> of the (d, M) sector J clones to
     sum_{j,k} c_j amp[j, k] |J[j] + K[k]>_a |K[k]>_b, with K = b_basis and amp
-    the table of `fock.clone_coefficients(d, M, l)`.  Only c is stored, as
-    `inputs` of shape (|J|,) or (components, |J|), checked on construction with
-    `fock.clone_shape` and for a nonzero entry.  `live_rows()` is the one
-    accessor of the table: it builds amp and the a_basis ranks of J[j] + K[k] at
-    the live rows alone, the inputs nonzero in some component, and keeps neither.
+    the table of `fock.clone_coefficients(d, M, l)`.  Only c is stored, as the
+    array `inputs` of shape (|J|,) or (components, |J|), checked on construction
+    with `fock.clone_shape`, for finite entries and for a nonzero entry.  `live_rows()`
+    is the one accessor of the table: it builds amp and the a_basis ranks of J[j] + K[k]
+    at the live rows alone, the inputs nonzero in some component, and keeps neither.
 
     A mixed output has one leading component axis: inputs[i] = sqrt(p_i) v_i
     for the eigenpairs (p_i, v_i) of the input, and the joint density is the
@@ -129,11 +129,15 @@ class CloneOutput:
     inputs: np.ndarray
 
     def __post_init__(self):
-        n_j, shape = clone_shape(self.d, self.M, self.l)[0], np.shape(self.inputs)
+        inputs = np.asarray(self.inputs)
+        n_j, shape = clone_shape(self.d, self.M, self.l)[0], inputs.shape
         if len(shape) not in (1, 2) or shape[-1] != n_j:
             raise ValueError(f"inputs must have shape ({n_j},) or (components, {n_j}), got {shape}")
-        if not self.inputs.any():
+        if not np.isfinite(inputs).all():
+            raise ValueError("inputs must be finite")
+        if not inputs.any():
             raise ValueError("inputs must have a nonzero entry")
+        object.__setattr__(self, "inputs", inputs)
 
     @property
     def L(self) -> int:

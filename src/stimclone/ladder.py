@@ -62,6 +62,8 @@ def ladder_matrix(d: int, N: int, M: int, gamma: float = 1.0) -> np.ndarray:
     Returns offdiag, a read-only float64 array of length N; the ladder
     Hamiltonian is np.diag(offdiag, 1) + np.diag(offdiag, -1).
     """
+    if not all(isinstance(n, (int, np.integer)) for n in (d, N, M)):
+        raise ValueError(f"d, N and M must be integers, got {d}, {N}, {M}")
     if d < 2:
         raise ValueError(f"qudit dimension must be >= 2, got {d}")
     if not 1 <= N <= MAX_LADDER_ATOMS:

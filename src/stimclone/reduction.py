@@ -76,10 +76,6 @@ class SingleQuditDensity:
     def from_pure(cls, x: PureQudit) -> "SingleQuditDensity":
         return cls(np.outer(x.x, x.x.conj()))
 
-    @classmethod
-    def maximally_mixed(cls, d: int) -> "SingleQuditDensity":
-        return cls(np.eye(d) / d)
-
 
 def trace_out_b(out: CloneOutput) -> SymmetricDensity:
     """Density of the M+l output copies, after discarding the b register.
@@ -157,6 +153,8 @@ def fidelity_global(out: CloneOutput, x: PureQudit) -> float:
 
 
 def _check_cloning_shape(M: int, L: int, d: int) -> None:
+    if not all(isinstance(n, (int, np.integer)) for n in (M, L, d)):
+        raise ValueError(f"M, L and d must be integers, got {M}, {L}, {d}")
     if d < 2:
         raise ValueError(f"qudit dimension must be >= 2, got {d}")
     if M < 1:

@@ -28,9 +28,13 @@ def child_env() -> dict:
     return dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in path if p))
 
 
-def run_python(*args, **kwargs) -> subprocess.CompletedProcess:
-    """`python *args` in a child, stdout and stderr captured as bytes unless text=True."""
-    return subprocess.run([sys.executable, *args], capture_output=True, env=child_env(), **kwargs)
+def run_python(*args, env=None, **kwargs) -> subprocess.CompletedProcess:
+    """`python *args` in a child, stdout and stderr captured as bytes unless text=True.
+
+    `env` adds variables to the child's environment.
+    """
+    env = {**child_env(), **(env or {})}
+    return subprocess.run([sys.executable, *args], capture_output=True, env=env, **kwargs)
 
 
 def run_script(script: str) -> subprocess.CompletedProcess:

@@ -143,22 +143,6 @@ def test_fidelity_trivial_when_l_max_equals_m(capsys):
     assert all(float(v) == pytest.approx(1.0, abs=1e-12) for v in rows[0][3:7])
 
 
-def test_fidelity_csv_and_json_carry_identical_numbers(capsys):
-    args = ["fidelity", "--d", "3", "--m", "2", "--l-max", "4"]
-    _, csv_out, _ = run_cli(capsys, args)
-    _, json_out, _ = run_cli(capsys, args + ["--format", "json"])
-    _, csv_rows = parse_csv(csv_out)
-    report = json.loads(json_out)
-    assert len(report["rows"]) == len(csv_rows)
-    for csv_row, json_row in zip(csv_rows, report["rows"]):
-        for text, key in zip(csv_row[3:], ["f_single_simulated", "f_single_closed",
-                                           "f_global_simulated", "f_global_closed",
-                                           "max_abs_diff"]):
-            assert float(text) == json_row[key]
-            # Same shortest round-trip digits in both encodings.
-            assert text == repr(json_row[key])
-
-
 def test_evolve_zero_time(capsys):
     code, out, _ = run_cli(capsys, ["evolve", "--d", "2", "--m", "1", "--n", "3", "--tau", "0"])
     assert code == 0
@@ -286,18 +270,6 @@ def test_clone_mixed_mode_basis_input_has_no_reference_fidelity(capsys):
     report = json.loads(out)
     assert report["fidelity"] is None
     assert len(report["amplitudes"]) == 2
-
-
-def test_clone_json_and_csv_numbers_agree(capsys):
-    args = ["clone", "--d", "2", "--x", "0.6,0.8", "--m", "2", "--l", "1"]
-    _, csv_out, _ = run_cli(capsys, args)
-    _, json_out, _ = run_cli(capsys, args + ["--format", "json"])
-    report = json.loads(json_out)
-    _, rows = parse_csv(csv_out)
-    csv_amps = {(r[1], r[2]): (float(r[5]), float(r[6])) for r in rows if r[0] == "amplitude"}
-    for entry in report["amplitudes"]:
-        key = (",".join(map(str, entry["a"])), ",".join(map(str, entry["b"])))
-        assert csv_amps[key] == (entry["real"], entry["imag"])
 
 
 def test_clone_records_match_dense_reference(capsys):
@@ -438,25 +410,6 @@ def test_unwritable_out_is_a_usage_error(tmp_path, capsys):
     assert not target.parent.exists()
 
 
-def test_csv_float_cells_are_the_repr_of_the_json_values(capsys):
-    # float(cell) would also accept a shorter or longer spelling; the cell must be repr itself.
-    cases = (
-        (["evolve", "--d", "3", "--m", "2", "--n", "40", "--tau", "1.3"], "rows",
-         [("probability", 1)]),
-        (["verify", "--samples", "3"], "checks", [("max_deviation", 1), ("tolerance", 2)]),
-    )
-    for argv, key, columns in cases:
-        _, csv_out, _ = run_cli(capsys, argv)
-        _, json_out, _ = run_cli(capsys, argv + ["--format", "json"])
-        _, rows = parse_csv(csv_out)
-        records = json.loads(json_out)[key]
-        assert len(rows) == len(records) > 0
-        for row, record in zip(rows, records):
-            for name, column in columns:
-                assert isinstance(record[name], float)
-                assert row[column] == repr(record[name])
-
-
 def test_clone_rejects_oversized_listing_at_once(capsys):
     # 21 input rows x 7,381 emission vectors: one record above the bound at d = 3.
     # At d = 30 the bound shrinks by 6/30, so 7 x 4,960 records are too many.
@@ -578,6 +531,26 @@ def _small_cli_args(draw):
             "--m", str(draw(st.integers(1, 3))), "--l", str(draw(st.integers(0, 3)))]
 
 
+def _document_and_floats(text):
+    """A json document with each float replaced by a marker, and its floats in order."""
+    floats = []
+    document = json.loads(text, parse_float=lambda s: floats.append(float(s)) or "<float>")
+    return document, np.array(floats)
+
+
+@pytest.mark.parametrize("args", ["fidelity --d 6 --m 6 --l-max 12 --format json",
+                                  "evolve --d 6 --m 6 --n 4000 --tau 2 --format json"])
+def test_values_agree_across_blas_thread_counts(args):
+    # Bytes repeat only at one BLAS thread count: threads reorder the sums of gemm and
+    # of the divide-and-conquer eigensolver.  At 1 and 2 threads the evolve floats
+    # differed by up to 6.9e-15, the fidelity ones by 5.6e-17.
+    runs = [run_python("-m", "stimclone", *args.split(), check=True,
+                       env={"OPENBLAS_NUM_THREADS": threads}) for threads in ("1", "2")]
+    (document_1, floats_1), (document_2, floats_2) = (_document_and_floats(run.stdout) for run in runs)
+    assert document_1 == document_2 and len(floats_1) == len(floats_2)
+    assert np.max(np.abs(floats_1 - floats_2)) <= 1e-13
+
+
 def _csv_rows_from_json(report):
     """The json values in the order of the csv cells of the same command."""
     if "checks" in report:  # verify
@@ -589,6 +562,10 @@ def _csv_rows_from_json(report):
     rows += [["reduced", None, None, r, s, *z] for r, row in enumerate(report["reduced"] or ())
              for s, z in enumerate(row)]
     return rows + [["fidelity", None, None, None, None, report["fidelity"], None]]
+
+
+FLOAT_FIELDS = {"f_single_simulated", "f_single_closed", "f_global_simulated", "f_global_closed",
+                "max_abs_diff", "probability", "max_deviation", "tolerance", "real", "imag"}
 
 
 @settings(derandomize=True, deadline=None, max_examples=20)
@@ -604,9 +581,17 @@ def test_csv_cells_and_json_values_are_the_same_numbers(argv):
             assert main(argv + ["--format", fmt]) == code
         outputs.append(out.getvalue())
     assert outputs[1] == json.dumps(json.loads(outputs[1])) + "\n"
-    _, csv_rows = parse_csv(outputs[0])
-    json_rows = _csv_rows_from_json(json.loads(outputs[1]))
+    header, csv_rows = parse_csv(outputs[0])
+    report = json.loads(outputs[1])
+    json_rows = _csv_rows_from_json(report)
+    assert len(csv_rows) == len(json_rows) > 0
     assert [len(row) for row in csv_rows] == [len(row) for row in json_rows]
+    # Named records: the csv header is their keys, and each number field holds a float.
+    records = report.get("rows") or report.get("checks") or report["amplitudes"]
+    if "amplitudes" not in report:
+        assert header == list(records[0])
+    for record in records:
+        assert all(isinstance(record[name], float) for name in FLOAT_FIELDS & record.keys())
     for cells, values in zip(csv_rows, json_rows):
         for cell, value in zip(cells, values):
             if value is None:

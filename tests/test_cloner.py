@@ -1,5 +1,4 @@
 import math
-import time
 from fractions import Fraction
 
 import numpy as np
@@ -52,11 +51,6 @@ def test_clone_basis_state_balanced_two_photon_input():
     w = out.amplitudes[out.a_basis.index((2, 1)), out.b_basis.index((1, 0))]
     assert w == pytest.approx(math.sqrt(0.5), abs=1e-14)
     assert np.linalg.norm(out.amplitudes) == pytest.approx(1.0, abs=1e-12)
-
-
-def test_clone_basis_state_rejects_negative_emission():
-    with pytest.raises(ValueError):
-        clone_basis_state((1, 0), -1)
 
 
 @pytest.mark.parametrize("d,m,l", [(2, 1, 2), (2, 3, 1), (3, 2, 2), (4, 1, 1)])
@@ -125,14 +119,6 @@ def test_constructors_check_the_shape_without_building_the_clone_table(monkeypat
     for out in outs:  # the table is read on use, through the patched builder
         with pytest.raises(AssertionError, match="built the clone table"):
             out.live_rows()
-    # |J| = C(199, 5) alone is above the entry bound: rejected before the input is expanded.
-    v = np.array([0.5, 0.4, 0.4, 0.4, 0.4, 0.346])
-    x = PureQudit(v / np.linalg.norm(v))
-    for build in (lambda: clone_pure(x, 194, 0), lambda: clone_basis_state((194, 0, 0, 0, 0, 0), 0)):
-        start = time.perf_counter()
-        with pytest.raises(ValueError, match="clone table too large"):
-            build()
-        assert time.perf_counter() - start < 0.1
 
 
 def test_cloning_is_an_isometry_per_emission_sector():
@@ -180,14 +166,6 @@ def test_expand_identical_matches_first_quantized_expansion():
             for occ, value in oracle.items():
                 got = state[basis.index(occ)]
                 assert abs(got - value) < 1e-12
-
-
-def test_expand_identical_rejects_bad_inputs():
-    with pytest.raises(ValueError):
-        PureQudit(np.array([1.0, 1.0]))
-    x = PureQudit(np.array([1.0, 0.0]))
-    with pytest.raises(ValueError):
-        expand_identical(x, 0)
 
 
 def test_clone_pure_on_basis_direction_matches_basis_clone():
@@ -239,29 +217,6 @@ def test_clone_mixed_output_is_a_density():
     assert np.linalg.eigvalsh(mat).min() > -1e-10
 
 
-def test_clone_mixed_rejects_non_densities():
-    basis = enumerate_sector(2, 1)
-    with pytest.raises(ValueError):
-        SymmetricDensity(basis, np.diag([0.7, 0.7]))
-    with pytest.raises(ValueError):
-        SymmetricDensity(basis, np.array([[0.5, 1.0], [0.0, 0.5]]))
-    # Hermitian and unit trace, but with a clearly negative eigenvalue.
-    indefinite = SymmetricDensity(basis, np.diag([1.05, -0.05]))
-    with pytest.raises(ValueError):
-        clone_mixed(indefinite, 1)
-
-
-def test_symmetric_density_checks_both_parts_for_hermiticity():
-    basis = enumerate_sector(2, 1)
-    for hermitian in ([[0.5, 0.3j], [-0.3j, 0.5]], [[0.5, 5e-13j], [0.0, 0.5]]):
-        SymmetricDensity(basis, np.array(hermitian))
-    # |mat - mat^H| peaks at 0.6, 2e-12, 2e-12 and 4e-12, the last on the diagonal.
-    for skewed in ([[0.5, 0.3j], [0.3j, 0.5]], [[0.5, 2e-12], [0.0, 0.5]],
-                   [[0.5, 2e-12j], [0.0, 0.5]], [[0.5 + 2e-12j, 0.0], [0.0, 0.5]]):
-        with pytest.raises(ValueError, match="^density matrix is not Hermitian$"):
-            SymmetricDensity(basis, np.array(skewed))
-
-
 def test_symmetric_density_checks_hermiticity_within_one_and_a_half_densities():
     # The (6, 9) sector has 2,002 vectors, so the complex density holds 61 MiB.  A
     # complex difference and its absolute value raised the peak by 122 MiB.
@@ -291,14 +246,6 @@ def test_pure_qudit_validation_and_sampling():
         x = PureQudit.random(d, rng)
         assert x.d == d
         assert abs(np.vdot(x.x, x.x).real - 1.0) < 1e-12
-    with pytest.raises(ValueError):
-        PureQudit(np.array([0.5, 0.5]))
-
-
-def test_pure_qudit_rejects_non_finite_amplitudes():
-    for bad in (np.nan, np.inf):
-        with pytest.raises(ValueError):
-            PureQudit(np.array([bad, 1.0]))
 
 
 def test_validation_messages_print_plain_numbers():
@@ -310,11 +257,3 @@ def test_validation_messages_print_plain_numbers():
         with pytest.raises(ValueError) as exc:
             build()
         assert value in str(exc.value) and "np." not in str(exc.value), str(exc.value)
-
-
-def test_symmetric_density_rejects_non_finite_entries():
-    basis = enumerate_sector(2, 1)
-    with pytest.raises(ValueError):
-        SymmetricDensity(basis, np.full((2, 2), np.nan))
-    with pytest.raises(ValueError):
-        SymmetricDensity(basis, np.array([[1.0, np.inf], [np.inf, 0.0]]))

@@ -243,21 +243,13 @@ def test_reduce_to_single_matches_first_quantized_marginal():
         assert np.max(np.abs(single.matrix - oracle)) < 1e-12
 
 
-def test_reduce_to_single_rejects_vacuum():
-    basis = enumerate_sector(2, 0)
-    with pytest.raises(ValueError):
-        reduce_to_single(SymmetricDensity(basis, np.array([[1.0]])))
-
-
 def test_fidelity_single_values():
     rng = np.random.default_rng(36)
     x = PureQudit.random(2, rng)
     assert fidelity_single(SingleQuditDensity.from_pure(x), x) == pytest.approx(1.0, abs=1e-12)
-    assert fidelity_single(SingleQuditDensity.maximally_mixed(2), x) == pytest.approx(0.5, abs=1e-12)
+    assert fidelity_single(SingleQuditDensity(np.eye(2) / 2), x) == pytest.approx(0.5, abs=1e-12)
     rho = SingleQuditDensity(np.diag([5 / 6, 1 / 6]))
     assert fidelity_single(rho, PureQudit(np.array([1.0, 0.0]))) == pytest.approx(5 / 6, abs=1e-15)
-    with pytest.raises(ValueError):
-        fidelity_single(rho, PureQudit(np.array([1.0, 0.0, 0.0])))
 
 
 def test_fidelity_global_values():
@@ -291,17 +283,6 @@ def test_closed_forms_match_plain_float_formulas():
                 assert closed_form_global(m, llarge, d) == ratio
 
 
-def test_closed_form_domain_errors():
-    with pytest.raises(ValueError):
-        closed_form_single(2, 1, 2)
-    with pytest.raises(ValueError):
-        closed_form_single(0, 1, 2)
-    with pytest.raises(ValueError):
-        closed_form_single(1, 2, 1)
-    with pytest.raises(ValueError):
-        closed_form_global(3, 2, 2)
-
-
 def test_closed_form_monotonicity():
     for d in (2, 3, 4):
         for m in range(1, 7):
@@ -333,7 +314,7 @@ def test_shrinking_factor_trivial_fits():
     pure = SingleQuditDensity.from_pure(x)
     fit = shrinking_factor(pure, pure)
     assert fit.isotropic and fit.eta == pytest.approx(1.0, abs=1e-12)
-    fit = shrinking_factor(pure, SingleQuditDensity.maximally_mixed(2))
+    fit = shrinking_factor(pure, SingleQuditDensity(np.eye(2) / 2))
     assert fit.isotropic and fit.eta == pytest.approx(0.0, abs=1e-12)
 
 
@@ -347,7 +328,7 @@ def test_shrinking_factor_flags_non_isotropic_pairs():
 
 
 def test_shrinking_factor_fully_mixed_input():
-    mixed = SingleQuditDensity.maximally_mixed(3)
+    mixed = SingleQuditDensity(np.eye(3) / 3)
     fit = shrinking_factor(mixed, mixed)
     assert fit.isotropic and fit.eta == 0.0
 
@@ -435,11 +416,6 @@ def test_fidelity_global_from_coefficients_matches_dense_overlap():
         psi = out.amplitudes
         dense = np.vdot(target, psi @ (psi.conj().T @ target)).real
         assert abs(fidelity_global(out, x) - dense) < 1e-13
-
-
-def test_reduce_to_single_rejects_vacuum_clone_output():
-    with pytest.raises(ValueError):
-        reduce_to_single(clone_basis_state((0, 0), 0))
 
 
 def _mixed_inputs():
@@ -549,23 +525,3 @@ def test_b_register_identity_needs_the_transpose_for_a_complex_input():
     anticlones = anticlone_map(rho, list(basis), 3, 4)
     assert np.max(np.abs(_b_register(out) - anticlones)) < 1e-13
     assert np.max(np.abs(_b_register(out) - anticlones.T)) > 1e-3
-
-
-@pytest.mark.parametrize("build", [
-    lambda: SymmetricDensity(enumerate_sector(2, 1), np.eye(3) / 3),
-    lambda: SingleQuditDensity(np.ones(3) / 3),
-    lambda: fidelity_global(clone_basis_state((1, 0), 1), PureQudit(np.ones(3) / math.sqrt(3))),
-    lambda: shrinking_factor(SingleQuditDensity(np.eye(2) / 2), SingleQuditDensity(np.eye(3) / 3)),
-    lambda: expand_identical(PureQudit(np.array([1.0, 0.0])), MAX_FACTORIAL + 1),
-    # |J| = 2 for (d, M) = (2, 1): three inputs, one input, or a third axis is not a clone output.
-    lambda: reduce_to_single(CloneOutput(2, 1, 1, np.ones(3))),
-    lambda: trace_out_b(CloneOutput(2, 1, 1, np.array([1.0]))),
-    lambda: CloneOutput(2, 1, 1, np.ones((1, 1, 2))),
-    # An input with no nonzero entry is no state.
-    lambda: trace_out_b(CloneOutput(3, 2, 1, np.zeros(6))),
-], ids=["symmetric-density-shape", "single-density-shape", "global-fidelity-dimension",
-        "shrinking-dimension", "factorial-bound", "clone-output-input-count",
-        "clone-output-single-input", "clone-output-axes", "clone-output-all-zero"])
-def test_library_input_checks_raise(build):
-    with pytest.raises(ValueError):
-        build()
