@@ -62,6 +62,12 @@ def test_full_hamiltonian_is_exactly_hermitian():
         assert np.array_equal(h, h.T)
 
 
+@pytest.mark.parametrize("d, n, j", [(3, 2, (1, 0)), (2, 0, (1, 0))])
+def test_full_sector_basis_rejects_a_mode_mismatch_and_no_atoms(d, n, j):
+    with pytest.raises(ValueError):
+        full_sector_basis(d, n, j)
+
+
 def test_verify_ladder_single_atom_boundary_row():
     # H|F_0> = gamma sqrt(N(M+d)) |F_1> for the smallest sector.
     report = verify_ladder(2, 1, (1, 0))
