@@ -17,6 +17,7 @@ import numpy as np
 from .fock import (
     OccupationVector,
     SectorBasis,
+    check_count,
     clone_coefficients,
     clone_shape,
     enumerate_sector,
@@ -193,8 +194,7 @@ def expand_identical(x: PureQudit, M: int) -> np.ndarray:
     The coefficient on occupation vector j is sqrt(M! / prod_i j_i!) times
     prod_i x_i^{j_i}; the result is normalized.
     """
-    if M < 1:
-        raise ValueError(f"number of copies must be >= 1, got {M}")
+    M = check_count("number of copies", M, 1)
     j = sector_array(x.d, M)
     return np.exp(0.5 * log_multinomials(x.d, M)) * np.prod(x.x ** j, axis=1)
 

@@ -5,12 +5,13 @@ A state of M identical d-level bosons is indexed by occupation vectors
 canonical order, ranks occupation vectors arithmetically within it, and
 builds the cloning coefficients in `clone_coefficients`, the package's one
 implementation of the clone formula, from per-sector log multinomials so
-that no factorial is ever formed in floating point.
+that no factorial is ever formed in floating point.  `check_count` owns the
+one rule for a count (d, M, N, l, L): an int or numpy integer in range.
 """
 
 import math
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, lru_cache
 from itertools import chain, combinations
 
 import numpy as np
@@ -30,6 +31,14 @@ _LOG_FACTORIAL_TABLE = np.array([math.log(math.factorial(n)) for n in range(MAX_
 _LOG_FACTORIAL_TABLE.setflags(write=False)
 
 
+def check_count(name: str, n, low: int, high: int | None = None) -> int:
+    """int(n) for an int or numpy integer n in low..high (None: unbounded), else ValueError."""
+    if isinstance(n, (int, np.integer)) and low <= n and (high is None or n <= high):
+        return int(n)
+    bound = f">= {low}" if high is None else f"in {low}..{high}"
+    raise ValueError(f"{name} must be an integer {bound}, got {n}")
+
+
 class OccupationVector(tuple):
     """Photon counts per mode, one entry per level of the qudit.
 
@@ -42,7 +51,10 @@ class OccupationVector(tuple):
 
     def __new__(cls, counts):
         counts = tuple(counts)
-        vec = super().__new__(cls, (int(n) for n in counts))
+        try:
+            vec = super().__new__(cls, (int(n) for n in counts))
+        except (TypeError, ValueError, OverflowError):  # None, "a", inf, nan
+            vec = None
         if vec != counts:
             raise ValueError(f"occupation numbers must be integers, got {counts}")
         if len(vec) < 2:
@@ -92,7 +104,8 @@ class SectorBasis:
         return OccupationVector(sector_array(self.d, self.total)[i])
 
 
-@cache
+# Typed: 2.0 and 2 are equal keys, and a float count must reach its check, not the int's entry.
+@lru_cache(maxsize=None, typed=True)
 def enumerate_sector(d: int, total: int) -> SectorBasis:
     """Enumerate the occupation basis of `total` photons over `d` modes.
 
@@ -100,10 +113,10 @@ def enumerate_sector(d: int, total: int) -> SectorBasis:
     (reverse-lexicographic) order.
     """
     sector_array(d, total)  # validates d and total
-    return SectorBasis(d=d, total=total)
+    return SectorBasis(d=int(d), total=int(total))
 
 
-@cache
+@lru_cache(maxsize=None, typed=True)
 def sector_array(d: int, total: int) -> np.ndarray:
     """Read-only int array of the (d, total) sector, one row per vector, canonical order.
 
@@ -111,10 +124,7 @@ def sector_array(d: int, total: int) -> np.ndarray:
     lexicographic order, give the counts (gaps between bars) in
     lexicographic order; reversed, they are the canonical order.
     """
-    if d < 2:
-        raise ValueError(f"qudit dimension must be >= 2, got {d}")
-    if total < 0:
-        raise ValueError(f"total photon number must be >= 0, got {total}")
+    d, total = check_count("qudit dimension", d, 2), check_count("total photon number", total, 0)
     size = math.comb(total + d - 1, d - 1)
     # This caps one sector (|A| <= |J| x |K|; oracle sectors hold at most 4,096), not
     # what is built from it: the |A|^2 density of `trace_out_b` or a clone's dense views.
@@ -129,7 +139,7 @@ def sector_array(d: int, total: int) -> np.ndarray:
     return vectors
 
 
-@cache
+@lru_cache(maxsize=None, typed=True)
 def log_multinomials(d: int, total: int) -> np.ndarray:
     """Read-only ln(total! / prod_i v_i!) for each vector v of the (d, total) sector.
 
@@ -183,12 +193,9 @@ def clone_shape(d: int, M: int, l: int) -> tuple[int, int]:
     Raises ValueError on an invalid shape, on M + l + d - 1 > MAX_FACTORIAL,
     and when |J| x |K| > MAX_CLONE_ENTRIES, so no sector or table is formed.
     """
-    if d < 2:
-        raise ValueError(f"qudit dimension must be >= 2, got {d}")
-    if M < 0:
-        raise ValueError(f"input photon number must be >= 0, got {M}")
-    if l < 0:
-        raise ValueError(f"number of additional copies must be >= 0, got {l}")
+    d = check_count("qudit dimension", d, 2)
+    M = check_count("input photon number", M, 0)
+    l = check_count("number of additional copies", l, 0)
     if M + l + d - 1 > MAX_FACTORIAL:
         raise ValueError(f"factorial bound exceeded: {M + l + d - 1} > {MAX_FACTORIAL}")
     n_j, n_k = math.comb(M + d - 1, d - 1), math.comb(l + d - 1, d - 1)

@@ -36,6 +36,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .fock import check_count
+
 # Largest atom number N that `ladder_matrix` accepts.  Evolving the ladder
 # holds two (N/2 + 1)-square float64 blocks, the even eigenvectors and the
 # solver's workspace or B^T U: 0.4 GB at this bound (`evolve` peaks at 460 MiB).
@@ -62,14 +64,9 @@ def ladder_matrix(d: int, N: int, M: int, gamma: float = 1.0) -> np.ndarray:
     Returns offdiag, a read-only float64 array of length N; the ladder
     Hamiltonian is np.diag(offdiag, 1) + np.diag(offdiag, -1).
     """
-    if not all(isinstance(n, (int, np.integer)) for n in (d, N, M)):
-        raise ValueError(f"d, N and M must be integers, got {d}, {N}, {M}")
-    if d < 2:
-        raise ValueError(f"qudit dimension must be >= 2, got {d}")
-    if not 1 <= N <= MAX_LADDER_ATOMS:
-        raise ValueError(f"number of excited atoms must be in 1..{MAX_LADDER_ATOMS}, got {N}")
-    if not 0 <= M <= 2**53 - N - d:
-        raise ValueError(f"input photon number must be in 0..2^53 - N - d, got {M}")
+    d = check_count("qudit dimension", d, 2)
+    N = check_count("number of excited atoms", N, 1, MAX_LADDER_ATOMS)
+    M = check_count("input photon number", M, 0, 2**53 - N - d)
     if not (math.isfinite(gamma) and gamma > 0):
         raise ValueError(f"coupling gamma must be positive and finite, got {gamma}")
     # In floats, so a large M cannot overflow; every factor is an exact float.
@@ -86,13 +83,16 @@ def evolve(h: np.ndarray, t: float) -> EvolutionProfile:
     even l and -i W (I - D/2) (sin(sigma t) U[0]) on odd l.  Unitarity holds
     to a few 1e-15; f matches expm_multiply to 2e-13 up to t ||H|| ~ 7e3
     (N <= 1000).  Rounding sigma t costs p_l about 6e-11 at a phase of 1e6
-    and up to 2e-7 near MAX_PHASE.  Raises ValueError unless every
-    |sigma t| < MAX_PHASE: t is inf or nan, or sigma t overflows or is too coarse.
+    and up to 2e-7 near MAX_PHASE.  Raises ValueError unless h is a finite 1-d
+    array of 1..MAX_LADDER_ATOMS couplings, and unless every |sigma t| <
+    MAX_PHASE: t is inf or nan, or sigma t overflows or is too coarse.
     """
     from scipy.linalg import eigh_tridiagonal
 
     off = np.asarray(h, dtype=float)
-    N = len(off)
+    if off.ndim != 1 or not np.isfinite(off).all():
+        raise ValueError("couplings h must be a finite 1-d array")
+    N = check_count("number of couplings", off.size, 1, MAX_LADDER_ATOMS)
     n_even, n_odd = N // 2 + 1, (N + 1) // 2
     # B[i, i] = off[2i] couples rung 2i to 2i+1, B[i+1, i] = off[2i+1]
     # couples rung 2i+2 to 2i+1.

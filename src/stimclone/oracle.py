@@ -21,7 +21,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .fock import OccupationVector, clone_coefficients, enumerate_sector, rank
+from .fock import OccupationVector, check_count, clone_coefficients, enumerate_sector, rank
 from .ladder import evolve, ladder_matrix
 
 # Cap on the dense sector dimension; desk-scale verification uses a few
@@ -103,10 +103,8 @@ class FullSectorBasis:
 def full_sector_basis(d: int, N: int, j) -> FullSectorBasis:
     """Enumerate the conserved sector for input label j and N excited atoms."""
     j = OccupationVector(j)
-    if d != j.d:
-        raise ValueError(f"input label has {j.d} modes, expected d={d}")
-    if N < 1:
-        raise ValueError(f"number of excited atoms must be >= 1, got {N}")
+    d = check_count(f"qudit dimension (j has {j.d} modes)", d, j.d, j.d)
+    N = check_count("number of excited atoms", N, 1)
     size = sum(math.comb(l + d - 1, d - 1) for l in range(N + 1))
     if size > MAX_SECTOR_DIM:
         raise ValueError(f"sector dimension {size} exceeds the limit {MAX_SECTOR_DIM}")
@@ -136,9 +134,7 @@ def embed_clone_state(basis: FullSectorBasis, l: int) -> np.ndarray:
     Column l of `basis.clone_states`: A^dag^l |j, 0, N>, normalized after each
     application of `basis.emission`; the clone formula is not used.
     """
-    if not 0 <= l <= basis.N:
-        raise ValueError(f"emission count l={l} outside 0..{basis.N}")
-    return basis.clone_states[:, l]
+    return basis.clone_states[:, check_count("emission count", l, 0, basis.N)]
 
 
 def _check(name: str, deviation: float, tolerance: float) -> dict:

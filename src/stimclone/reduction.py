@@ -51,7 +51,7 @@ from functools import cache
 import numpy as np
 
 from .cloner import CloneOutput, PureQudit, SymmetricDensity, expand_identical
-from .fock import rank, sector_array
+from .fock import check_count, rank, sector_array
 
 ISOTROPY_TOL = 1e-9
 
@@ -152,27 +152,22 @@ def fidelity_global(out: CloneOutput, x: PureQudit) -> float:
     return float(np.sum(np.abs(overlaps) ** 2))
 
 
-def _check_cloning_shape(M: int, L: int, d: int) -> None:
-    if not all(isinstance(n, (int, np.integer)) for n in (M, L, d)):
-        raise ValueError(f"M, L and d must be integers, got {M}, {L}, {d}")
-    if d < 2:
-        raise ValueError(f"qudit dimension must be >= 2, got {d}")
-    if M < 1:
-        raise ValueError(f"input copy number must be >= 1, got {M}")
-    if L < M:
-        raise ValueError(f"output copies L={L} fewer than input copies M={M}")
+def _check_cloning_shape(M: int, L: int, d: int) -> tuple[int, int, int]:
+    d = check_count("qudit dimension", d, 2)
+    M = check_count("input copy number", M, 1)
+    return M, check_count("output copy number", L, M), d
 
 
 def closed_form_single(M: int, L: int, d: int) -> float:
     """Optimal single-copy fidelity (M(L+d) + L - M) / (L(M+d)), correctly rounded."""
-    _check_cloning_shape(M, L, d)
+    M, L, d = _check_cloning_shape(M, L, d)
     return (M * (L + d) + L - M) / (L * (M + d))
 
 
 def closed_form_global(M: int, L: int, d: int) -> float:
     """Optimal L-copy fidelity d[M] / d[L], correctly rounded, with d[n] = C(n+d-1, d-1) the
     symmetric-subspace dimension of n qudits (Werner, Phys. Rev. A 58, 1827 (1998))."""
-    _check_cloning_shape(M, L, d)
+    M, L, d = _check_cloning_shape(M, L, d)
     return math.comb(M + d - 1, d - 1) / math.comb(L + d - 1, d - 1)
 
 

@@ -90,7 +90,7 @@ def test_emission_probabilities_boundary_values():
         assert np.all(probs >= 0.0) and np.all(probs <= 1.0 + 1e-15)
 
 
-def test_evolve_rejects_phases_beyond_max_phase():
+def test_evolve_accepts_the_benchmarks_largest_phase():
     # The largest phases the benchmark reaches (N = 1000, tau = 3) stay legal.
     assert abs(evolve(ladder_matrix(6, 1000, 6), 3.0).probabilities.sum() - 1.0) < 1e-12
 

@@ -35,10 +35,23 @@ LIBRARY_INPUTS = [
     ("OccupationVector((0, 0.5))", "integers"),
     ("OccupationVector((np.float64(2.5), 1))", "integers"),
     ("OccupationVector(('1', 0))", "integers"),
+    # Entries that int() cannot convert raise the same message, not int()'s own error.
+    ("OccupationVector((math.inf, 0))", "integers"),
+    ("OccupationVector((None, 0))", "integers"),
+    ("OccupationVector(('a', 0))", "integers"),
+    ("OccupationVector((math.nan, 0))", "integers"),
     # The cloner rejects it as well, rather than cloning the truncation (1, 0).
     ("clone_basis_state((1.9, 0), 1)", "integers"),
     ("enumerate_sector(1, 3)", "qudit dimension"),
     ("enumerate_sector(2, -1)", "total photon number"),
+    # Every count is an int or numpy integer (fock.check_count); integral floats are not.
+    ("enumerate_sector(2, 2.5)", "total photon number"),
+    ("enumerate_sector(np.int64(2), np.int64(1))", None),
+    # The sector caches are typed: after the int call warms them, the float call
+    # still reaches its check instead of returning the int's entry.
+    ("(sector_array(2, 1), sector_array(2.0, 1))", "qudit dimension"),
+    ("(enumerate_sector(2, 1), enumerate_sector(2.0, 1))", "qudit dimension"),
+    ("(log_multinomials(2, 1), log_multinomials(2.0, 1))", "qudit dimension"),
     # C(10005, 5) ~ 8.4e17, C(125, 5) ~ 2.3e8 and C(1003, 3) ~ 1.7e8 vectors, all far
     # above MAX_CLONE_ENTRIES; building any of them would take GBs or minutes.
     ("enumerate_sector(6, 10_000)", "sector too large", 0.1),
@@ -58,6 +71,7 @@ LIBRARY_INPUTS = [
     ("clone_coefficients(1, 1, 1)", "qudit dimension"),
     ("clone_coefficients(2, -1, 1)", "input photon number"),
     ("clone_coefficients(2, 1, -1)", "additional copies"),
+    ("clone_coefficients(2, 1, 1.5)", "additional copies"),
     # |J| x |K| above MAX_CLONE_ENTRIES: 462 x 8568 just above, 1 x C(199, 5) far above.
     ("clone_coefficients(6, 6, 13)", "clone table too large", 0.1),
     ("clone_coefficients(6, 0, 194)", "clone table too large", 0.1),
@@ -67,9 +81,9 @@ LIBRARY_INPUTS = [
     ("ladder_matrix(2, 1, 1, gamma=0.0)", "gamma"),
     ("ladder_matrix(2, 1, 1, gamma=math.inf)", "gamma"),
     ("ladder_matrix(2, 3, 10**400)", "input photon number"),
-    ("ladder_matrix(2, 2.5, 1)", "integers"),
-    ("ladder_matrix(2.5, 2, 1)", "integers"),
-    ("ladder_matrix(2, 2, 1.5)", "integers"),
+    ("ladder_matrix(2, 2.5, 1)", "excited atoms"),
+    ("ladder_matrix(2.5, 2, 1)", "qudit dimension"),
+    ("ladder_matrix(2, 2, 1.5)", "input photon number"),
     ("ladder_matrix(np.int64(2), np.int64(2), np.int64(1))", None),
     ("ladder_matrix(2, MAX_LADDER_ATOMS, 0)", None),
     ("ladder_matrix(2, MAX_LADDER_ATOMS + 1, 0)", "excited atoms", 0.1),
@@ -82,6 +96,11 @@ LIBRARY_INPUTS = [
     # at tau and at the next float are unrelated.
     ("evolve(ladder_matrix(3, 5, 2), 1e17)", "finite"),
     ("evolve(ladder_matrix(3, 5, 2), -1e17)", "finite"),
+    ("evolve(np.array([]), 1.0)", "couplings"),
+    ("evolve(np.ones((2, 2)), 1.0)", "couplings"),
+    ("evolve(np.array([1.0, np.nan]), 1.0)", "couplings"),
+    # One coupling past the ladder bound: rejected before a 5,001-row eigensolve.
+    ("evolve(np.ones(MAX_LADDER_ATOMS + 1), 1.0)", "couplings", 0.1),
     ("PureQudit(np.array([1.0, 1.0]))", "not normalized"),
     ("PureQudit(np.array([0.5, 0.5]))", "not normalized"),
     ("PureQudit(np.array([np.nan, 1.0]))", "must be finite"),
@@ -101,6 +120,9 @@ LIBRARY_INPUTS = [
     # Hermitian and unit trace, but with a clearly negative eigenvalue.
     ("clone_mixed(SymmetricDensity(BASIS, np.diag([1.05, -0.05])), 1)", "negative eigenvalue"),
     ("clone_basis_state((1, 0), -1)", "additional copies"),
+    ("clone_basis_state((1, 0), 1.5)", "additional copies"),
+    ("clone_pure(PureQudit(np.array([1.0, 0.0])), 2.5, 1)", "input photon number"),
+    ("expand_identical(PureQudit(np.array([1.0, 0.0])), 1.5)", "number of copies"),
     ("expand_identical(PureQudit(np.array([1.0, 0.0])), 0)", "number of copies"),
     ("expand_identical(PureQudit(np.array([1.0, 0.0])), MAX_FACTORIAL + 1)", "factorial bound exceeded"),
     # |J| alone is above the entry bound: rejected before the input is expanded.
@@ -115,10 +137,14 @@ LIBRARY_INPUTS = [
     ("CloneOutput(2, 1, 1, np.array([np.nan, 0.0]))", "must be finite"),
     ("CloneOutput(2, 1, 1, np.array([np.inf, 0.0]))", "must be finite"),
     ("CloneOutput(2, 1, 1, [1.0, 0.0])", None),
+    ("CloneOutput(2, 1.0, 1, np.ones(2))", "input photon number"),
     ("full_sector_basis(3, 28, (1, 1, 0))", "exceeds the limit"),
     ("full_sector_basis(3, 2, (1, 0))", "modes"),
+    ("full_sector_basis(2.0, 1, (1, 0))", "modes"),
     ("full_sector_basis(2, 0, (1, 0))", "excited atoms"),
-    ("embed_clone_state(full_sector_basis(2, 2, (1, 0)), 3)", "outside"),
+    ("full_sector_basis(2, 1.5, (1, 0))", "excited atoms"),
+    ("embed_clone_state(full_sector_basis(2, 2, (1, 0)), 3)", "emission count"),
+    ("embed_clone_state(full_sector_basis(2, 2, (1, 0)), 1.5)", "emission count"),
     ("reduce_to_single(SymmetricDensity(enumerate_sector(2, 0), np.array([[1.0]])))",
      "at least one boson"),
     ("reduce_to_single(clone_basis_state((0, 0), 0))", "at least one boson"),
@@ -129,14 +155,21 @@ LIBRARY_INPUTS = [
      "dimension mismatch"),
     ("shrinking_factor(SingleQuditDensity(np.eye(2) / 2), SingleQuditDensity(np.eye(3) / 3))",
      "different dimensions"),
-    ("closed_form_single(2, 1, 2)", "fewer than"),
+    ("closed_form_single(2, 1, 2)", "output copy number"),
     ("closed_form_single(0, 1, 2)", "input copy number"),
     ("closed_form_single(1, 2, 1)", "qudit dimension"),
-    ("closed_form_global(3, 2, 2)", "fewer than"),
-    ("closed_form_single(1, 2.5, 2)", "integers"),
-    ("closed_form_global(1, 2.5, 2)", "integers"),
+    ("closed_form_global(3, 2, 2)", "output copy number"),
+    ("closed_form_single(1, 2.5, 2)", "output copy number"),
+    ("closed_form_global(1, 2.5, 2)", "output copy number"),
     ("closed_form_single(np.int64(1), np.int64(2), np.int64(2))", None),
 ]
+
+
+@pytest.fixture(autouse=True)
+def cold_sector_caches():
+    # Each row starts from cold sector caches, whatever earlier rows or modules warmed.
+    for cached in (fock.sector_array, fock.enumerate_sector, fock.log_multinomials):
+        cached.cache_clear()
 
 
 @pytest.mark.parametrize("row", LIBRARY_INPUTS, ids=lambda row: row[0])

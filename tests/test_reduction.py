@@ -525,23 +525,3 @@ def test_b_register_identity_needs_the_transpose_for_a_complex_input():
     anticlones = anticlone_map(rho, list(basis), 3, 4)
     assert np.max(np.abs(_b_register(out) - anticlones)) < 1e-13
     assert np.max(np.abs(_b_register(out) - anticlones.T)) > 1e-3
-
-
-@pytest.mark.parametrize("build", [
-    lambda: SymmetricDensity(enumerate_sector(2, 1), np.eye(3) / 3),
-    lambda: SingleQuditDensity(np.ones(3) / 3),
-    lambda: fidelity_global(clone_basis_state((1, 0), 1), PureQudit(np.ones(3) / math.sqrt(3))),
-    lambda: shrinking_factor(SingleQuditDensity(np.eye(2) / 2), SingleQuditDensity(np.eye(3) / 3)),
-    lambda: expand_identical(PureQudit(np.array([1.0, 0.0])), MAX_FACTORIAL + 1),
-    # |J| = 2 for (d, M) = (2, 1): three inputs, one input, or a third axis is not a clone output.
-    lambda: reduce_to_single(CloneOutput(2, 1, 1, np.ones(3))),
-    lambda: trace_out_b(CloneOutput(2, 1, 1, np.array([1.0]))),
-    lambda: CloneOutput(2, 1, 1, np.ones((1, 1, 2))),
-    # An input with no nonzero entry is no state.
-    lambda: trace_out_b(CloneOutput(3, 2, 1, np.zeros(6))),
-], ids=["symmetric-density-shape", "single-density-shape", "global-fidelity-dimension",
-        "shrinking-dimension", "factorial-bound", "clone-output-input-count",
-        "clone-output-single-input", "clone-output-axes", "clone-output-all-zero"])
-def test_library_input_checks_raise(build):
-    with pytest.raises(ValueError):
-        build()
