@@ -19,7 +19,7 @@ from .fock import (
     SectorBasis,
     check_count,
     clone_coefficients,
-    clone_shape,
+    clone_counts,
     enumerate_sector,
     log_multinomials,
     rank,
@@ -32,6 +32,7 @@ PSD_TOLERANCE = 1e-8
 _HERMITICITY_TOL = 1e-12
 _TRACE_TOL = 1e-12
 _NORM_TOL = 1e-12
+_CLONE_NORM_TOL = 1e-9  # a clone_pure |inputs|^2 is (1 +- _NORM_TOL)^M, within 2e-10 of 1
 
 
 @dataclass(frozen=True)
@@ -99,11 +100,6 @@ class SymmetricDensity:
     def total(self) -> int:
         return self.basis.total
 
-    @classmethod
-    def maximally_mixed(cls, d: int, total: int) -> "SymmetricDensity":
-        basis = enumerate_sector(d, total)
-        return cls(basis, np.eye(len(basis)) / len(basis))
-
 
 @dataclass(frozen=True)
 class CloneOutput:
@@ -112,8 +108,8 @@ class CloneOutput:
     An input sum_j c_j |J[j]> of the (d, M) sector J clones to
     sum_{j,k} c_j amp[j, k] |J[j] + K[k]>_a |K[k]>_b, with K = b_basis and amp
     the table of `fock.clone_coefficients(d, M, l)`.  Only c is stored, as the
-    array `inputs` of shape (|J|,) or (components, |J|), checked on construction
-    with `fock.clone_shape`, for finite entries and for a nonzero entry.  `live_rows()`
+    array `inputs` of shape (|J|,) or (components, |J|), with unit norm within
+    _CLONE_NORM_TOL, and d, M, l as `fock.clone_counts`' ints.  `live_rows()`
     is the one accessor of the table: it builds amp and the a_basis ranks of J[j] + K[k]
     at the live rows alone, the inputs nonzero in some component, and keeps neither.
 
@@ -131,14 +127,15 @@ class CloneOutput:
 
     def __post_init__(self):
         inputs = np.asarray(self.inputs)
-        n_j, shape = clone_shape(self.d, self.M, self.l)[0], inputs.shape
-        if len(shape) not in (1, 2) or shape[-1] != n_j:
-            raise ValueError(f"inputs must have shape ({n_j},) or (components, {n_j}), got {shape}")
-        if not np.isfinite(inputs).all():
-            raise ValueError("inputs must be finite")
-        if not inputs.any():
-            raise ValueError("inputs must have a nonzero entry")
-        object.__setattr__(self, "inputs", inputs)
+        *counts, n_j, _ = clone_counts(self.d, self.M, self.l)
+        if inputs.ndim not in (1, 2) or inputs.shape[-1] != n_j:
+            raise ValueError(f"inputs must have shape ({n_j},) or (components, {n_j}), "
+                             f"got {inputs.shape}")
+        norm_sq = float(np.vdot(inputs, inputs).real)  # nan or inf for a non-finite entry
+        if not abs(norm_sq - 1.0) <= _CLONE_NORM_TOL:
+            raise ValueError(f"inputs must be finite with unit norm, got |inputs|^2 = {norm_sq}")
+        for name, value in zip(("d", "M", "l", "inputs"), (*counts, inputs)):
+            object.__setattr__(self, name, value)
 
     @property
     def L(self) -> int:
@@ -183,7 +180,7 @@ def clone_basis_state(j, l: int) -> CloneOutput:
     is already normalized.
     """
     j = OccupationVector(j)
-    c = np.zeros(clone_shape(j.d, j.total(), l)[0])  # also rejects an oversized shape
+    c = np.zeros(clone_counts(j.d, j.total(), l)[3])  # also rejects an oversized shape
     c[rank(j)] = 1.0
     return CloneOutput(j.d, j.total(), l, c)
 
@@ -201,8 +198,8 @@ def expand_identical(x: PureQudit, M: int) -> np.ndarray:
 
 def clone_pure(x: PureQudit, M: int, l: int) -> CloneOutput:
     """Clone M identical pure qudits, conditioned on l extra copies."""
-    clone_shape(x.d, M, l)  # rejects an oversized shape before any work
-    return CloneOutput(x.d, M, l, expand_identical(x, M))
+    d, M, l, _, _ = clone_counts(x.d, M, l)  # rejects an oversized shape before any work
+    return CloneOutput(d, M, l, expand_identical(x, M))
 
 
 def clone_mixed(rho: SymmetricDensity, l: int) -> CloneOutput:
@@ -215,7 +212,7 @@ def clone_mixed(rho: SymmetricDensity, l: int) -> CloneOutput:
     dropped and the kept ones renormalized.  Rank-1 inputs reproduce the
     pure-state clone up to a global phase.
     """
-    clone_shape(rho.d, rho.total, l)  # rejects an oversized shape before any work
+    clone_counts(rho.d, rho.total, l)  # rejects an oversized shape before any work
     evals, evecs = np.linalg.eigh(rho.matrix)
     if evals.min() < -PSD_TOLERANCE:
         raise ValueError(f"density matrix has negative eigenvalue {float(evals.min())}")

@@ -36,6 +36,9 @@ def check_count(name: str, n, low: int, high: int | None = None) -> int:
     if isinstance(n, (int, np.integer)) and low <= n and (high is None or n <= high):
         return int(n)
     bound = f">= {low}" if high is None else f"in {low}..{high}"
+    if isinstance(n, int) and abs(n) >= 10**20:  # str() fails above 4,300 digits
+        k = int(math.log10(abs(n)))  # floor(log10 |n|), or one off either way
+        n = f"an integer of {k + 1 + (abs(n) >= 10 ** (k + 1)) - (abs(n) < 10 ** k)} digits"
     raise ValueError(f"{name} must be an integer {bound}, got {n}")
 
 
@@ -187,8 +190,8 @@ def rank(*parts) -> np.ndarray:
     return result[()]
 
 
-def clone_shape(d: int, M: int, l: int) -> tuple[int, int]:
-    """(|J|, |K|) of the (d, M, l) clone table, by arithmetic alone.
+def clone_counts(d: int, M: int, l: int) -> tuple[int, int, int, int, int]:
+    """(d, M, l, |J|, |K|) of the (d, M, l) clone table, the counts as `check_count`'s ints.
 
     Raises ValueError on an invalid shape, on M + l + d - 1 > MAX_FACTORIAL,
     and when |J| x |K| > MAX_CLONE_ENTRIES, so no sector or table is formed.
@@ -201,7 +204,7 @@ def clone_shape(d: int, M: int, l: int) -> tuple[int, int]:
     n_j, n_k = math.comb(M + d - 1, d - 1), math.comb(l + d - 1, d - 1)
     if n_j * n_k > MAX_CLONE_ENTRIES:
         raise ValueError(f"clone table too large: {n_j * n_k} entries > {MAX_CLONE_ENTRIES}")
-    return n_j, n_k
+    return d, M, l, n_j, n_k
 
 
 def clone_coefficients(d: int, M: int, l: int, rows=slice(None)) -> tuple[np.ndarray, np.ndarray]:
@@ -218,10 +221,10 @@ def clone_coefficients(d: int, M: int, l: int, rows=slice(None)) -> tuple[np.nda
     with mult(n) = |n|! / prod_i n_i! and d[n] = C(n+d-1, d-1), so the prefactor
     is the optimal L-copy fidelity (Werner, Phys. Rev. A 58, 1827 (1998)).  amp
     is exp of a sum of cached per-sector log multinomials; each row has unit
-    norm.  Nothing else is cached.  `clone_shape` checks the bounds first, so
+    norm.  Nothing else is cached.  `clone_counts` checks the bounds first, so
     an oversized table allocates nothing.
     """
-    clone_shape(d, M, l)
+    d, M, l, _, _ = clone_counts(d, M, l)
     a_index = rank(sector_array(d, M)[rows, None], sector_array(d, l))
     log_prefactor = math.log(math.comb(M + d - 1, d - 1) / math.comb(M + l + d - 1, d - 1))
     log_sq = log_prefactor + log_multinomials(d, M)[rows, None] + log_multinomials(d, l)

@@ -97,7 +97,7 @@ def trace_out_b(out: CloneOutput) -> SymmetricDensity:
         np.add.at(rho, pairs, (rho_in[rows, :, None] * (amp[rows, None] * amp)).ravel())
     rho = rho.reshape(n_a, n_a)
     rho += rho.conj().T
-    rho *= 0.5
+    rho *= 0.5 / np.vdot(c, c).real  # Hermitian part, of unit trace
     return SymmetricDensity(out.a_basis, rho)
 
 

@@ -1,6 +1,11 @@
 import time
 
 import pytest
+from hypothesis import settings
+
+# Every property test draws the same examples on each run; its @settings add max_examples.
+settings.register_profile("derandomized", derandomize=True, deadline=None)
+settings.load_profile("derandomized")
 
 _acceptance_lines = []
 _session_start = time.monotonic()

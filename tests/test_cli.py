@@ -568,7 +568,7 @@ FLOAT_FIELDS = {"f_single_simulated", "f_single_closed", "f_global_simulated", "
                 "max_abs_diff", "probability", "max_deviation", "tolerance", "real", "imag"}
 
 
-@settings(derandomize=True, deadline=None, max_examples=20)
+@settings(max_examples=20)
 @given(argv=_small_cli_args())
 def test_csv_cells_and_json_values_are_the_same_numbers(argv):
     # Each csv cell is the text of its json value: a float's repr, the shortest

@@ -175,7 +175,7 @@ def test_clone_coefficients_match_scalar_amplitudes():
                         assert a_basis[a_index[p, q]] == tuple(a + b for a, b in zip(j, k))
 
 
-@settings(derandomize=True, deadline=None, max_examples=50)
+@settings(max_examples=50)
 @given(d=st.integers(2, 6), m=st.integers(0, 6), l=st.integers(0, 6), data=st.data())
 def test_clone_coefficients_at_rows_are_the_full_table_rows(d, m, l, data):
     js, ks = sector_array(d, m), sector_array(d, l)

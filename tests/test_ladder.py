@@ -138,7 +138,7 @@ def test_evolve_matches_a_truncated_taylor_propagator():
     assert worst <= 1e-11
 
 
-@settings(derandomize=True, deadline=None, max_examples=60)
+@settings(max_examples=60)
 @given(d=st.integers(2, 6), n=st.integers(1, 64), m=st.integers(0, 6),
        t=st.floats(-10.0, 10.0, allow_nan=False))
 def test_evolve_is_unitary(d, n, m, t):

@@ -81,6 +81,8 @@ LIBRARY_INPUTS = [
     ("ladder_matrix(2, 1, 1, gamma=0.0)", "gamma"),
     ("ladder_matrix(2, 1, 1, gamma=math.inf)", "gamma"),
     ("ladder_matrix(2, 3, 10**400)", "input photon number"),
+    # Above 4,300 digits Python prints no int: the message gives the count's digits.
+    ("ladder_matrix(2, 3, 10**5000)", "input photon number"),
     ("ladder_matrix(2, 2.5, 1)", "excited atoms"),
     ("ladder_matrix(2.5, 2, 1)", "qudit dimension"),
     ("ladder_matrix(2, 2, 1.5)", "input photon number"),
@@ -132,8 +134,15 @@ LIBRARY_INPUTS = [
     ("reduce_to_single(CloneOutput(2, 1, 1, np.ones(3)))", "must have shape"),
     ("trace_out_b(CloneOutput(2, 1, 1, np.array([1.0])))", "must have shape"),
     ("CloneOutput(2, 1, 1, np.ones((1, 1, 2)))", "must have shape"),
-    # An input with no nonzero entry, or a non-finite one, is no state.
-    ("trace_out_b(CloneOutput(3, 2, 1, np.zeros(6)))", "nonzero entry"),
+    # An input off unit norm, or a non-finite one, is no state.
+    ("trace_out_b(CloneOutput(3, 2, 1, np.zeros(6)))", "unit norm"),
+    ("fidelity_global(CloneOutput(2, 1, 1, np.array([2.0, 0.0])), PureQudit(np.array([1.0, 0.0])))",
+     "unit norm"),
+    ("CloneOutput(2, 1, 1, np.array([math.sqrt(1 + 5e-10), 0.0]))", None),
+    ("CloneOutput(2, 1, 1, np.array([math.sqrt(1 + 2e-9), 0.0]))", "unit norm"),
+    # PureQudit |x|^2 = 1 + 9e-13 clones to |inputs|^2 = 1 + 1.8e-12 (M = 2), 1 + 1.1e-11 (M = 12).
+    ("trace_out_b(clone_pure(PureQudit(np.array([math.sqrt(1 + 9e-13), 0.0])), 2, 2))", None),
+    ("trace_out_b(clone_pure(PureQudit(np.array([math.sqrt(1 + 9e-13), 0.0])), 12, 2))", None),
     ("CloneOutput(2, 1, 1, np.array([np.nan, 0.0]))", "must be finite"),
     ("CloneOutput(2, 1, 1, np.array([np.inf, 0.0]))", "must be finite"),
     ("CloneOutput(2, 1, 1, [1.0, 0.0])", None),

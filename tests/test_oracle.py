@@ -208,7 +208,7 @@ def _advertised_sectors(draw):
     return d, n, tuple(j)
 
 
-@settings(derandomize=True, deadline=None, max_examples=4)
+@settings(max_examples=4)
 @given(sector=_advertised_sectors(), t=st.floats(0.5, 5.0))
 def test_oracle_passes_at_the_advertised_dimension(sector, t):
     d, n, j = sector

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import stimclone
@@ -58,20 +58,6 @@ def test_trace_out_b_without_emission_is_projector():
     assert np.max(np.abs(rho.matrix - ref)) < 1e-12
 
 
-def test_trace_out_b_has_unit_trace():
-    rng = np.random.default_rng(32)
-    for d, m, l in [(2, 1, 2), (3, 2, 1), (4, 1, 3)]:
-        rho = trace_out_b(clone_pure(PureQudit.random(d, rng), m, l))
-        assert abs(np.trace(rho.matrix).real - 1.0) < 1e-12
-
-
-def test_trace_out_b_pure_and_density_routes_agree():
-    rng = np.random.default_rng(33)
-    x = PureQudit.random(2, rng)
-    for out in [clone_pure(x, 2, 1)] + [out for out, _ in _clone_outputs_with_reference()]:
-        assert np.max(np.abs(trace_out_b(out).matrix - _dense_a_density(out))) < 1e-13
-
-
 def test_trace_out_b_reads_the_clone_table_once_and_forms_no_dense_view(monkeypatch):
     rng = np.random.default_rng(46)
     basis = enumerate_sector(3, 2)
@@ -100,9 +86,9 @@ def test_trace_out_b_of_a_full_rank_mixed_output_stays_near_the_result_size():
     # 70 components, |J| = 70, |K| = 210, |A| = 1,001: the a x a result is 16 MB, while
     # the dense 70 x 1,001 x 210 a x b view alone would hold 235 MB.
     rise, _ = peak_rise(
-        "from stimclone.cloner import SymmetricDensity, clone_mixed\n"
-        "from stimclone.reduction import trace_out_b\n"
-        "out = clone_mixed(SymmetricDensity.maximally_mixed(5, 4), 6)",
+        "import numpy as np\n"
+        "from stimclone import SymmetricDensity, clone_mixed, enumerate_sector, trace_out_b\n"
+        "out = clone_mixed(SymmetricDensity(enumerate_sector(5, 4), np.eye(70) / 70), 6)",
         "trace_out_b(out)")
     assert rise < 150 * 1024
 
@@ -125,9 +111,9 @@ def test_reduce_to_single_of_a_full_rank_mixed_output_reads_only_the_lowered_inp
     # 11 MiB, while gathering the inputs at each of the 10,332 a_s^dag a_r terms of
     # the (6, 6) sector takes 73 MiB per temporary and raised the peak by 214 MiB.
     rise, _ = peak_rise(
-        "from stimclone.cloner import SymmetricDensity, clone_mixed\n"
-        "from stimclone.reduction import reduce_to_single\n"
-        "out = clone_mixed(SymmetricDensity.maximally_mixed(6, 6), 6)",
+        "import numpy as np\n"
+        "from stimclone import SymmetricDensity, clone_mixed, enumerate_sector, reduce_to_single\n"
+        "out = clone_mixed(SymmetricDensity(enumerate_sector(6, 6), np.eye(462) / 462), 6)",
         "reduce_to_single(out)")
     assert rise < 64 * 1024
 
@@ -152,9 +138,9 @@ def test_fidelity_global_of_a_full_rank_mixed_output_forms_no_coefficient_array(
     # clone of the maximally mixed input is maximally mixed on the (5, 10) sector.
     rise, f = peak_rise(
         "import numpy as np\n"
-        "from stimclone.cloner import PureQudit, SymmetricDensity, clone_mixed\n"
+        "from stimclone import PureQudit, SymmetricDensity, clone_mixed, enumerate_sector\n"
         "from stimclone.reduction import fidelity_global\n"
-        "out = clone_mixed(SymmetricDensity.maximally_mixed(5, 4), 6)\n"
+        "out = clone_mixed(SymmetricDensity(enumerate_sector(5, 4), np.eye(70) / 70), 6)\n"
         "x = PureQudit(np.full(5, 1 / np.sqrt(5)))",
         "f = fidelity_global(out, x)")
     assert rise < 8 * 1024
@@ -181,8 +167,8 @@ def test_reduce_to_single_two_photon_mixture():
 
 def test_reduce_to_single_of_maximally_mixed_sector():
     for d, total in [(2, 3), (3, 2), (4, 2)]:
-        rho = SymmetricDensity.maximally_mixed(d, total)
-        single = reduce_to_single(rho)
+        basis = enumerate_sector(d, total)
+        single = reduce_to_single(SymmetricDensity(basis, np.eye(len(basis)) / len(basis)))
         assert np.max(np.abs(single.matrix - np.eye(d) / d)) < 1e-12
 
 
@@ -190,7 +176,7 @@ def test_reduce_to_single_of_density_needs_no_clone_table():
     # A density is reduced with no emitted photons, so its total may exceed
     # what the factorial table of the clone formula admits.
     assert 250 > MAX_FACTORIAL
-    single = reduce_to_single(SymmetricDensity.maximally_mixed(2, 250))
+    single = reduce_to_single(SymmetricDensity(enumerate_sector(2, 250), np.eye(251) / 251))
     assert np.max(np.abs(single.matrix - np.eye(2) / 2)) < 1e-12
 
 
@@ -211,7 +197,7 @@ def _unitary(d, rng):
     return np.linalg.qr(z)[0]
 
 
-@settings(derandomize=True, deadline=None, max_examples=60)
+@settings(max_examples=60)
 @given(d=st.integers(2, 6), m=st.integers(1, 3), l=st.integers(0, 4),
        seed=st.integers(0, 2**32 - 1))
 def test_one_copy_marginal_is_unitarily_covariant(d, m, l, seed):
@@ -293,7 +279,7 @@ def test_closed_form_monotonicity():
             assert all(a < b for a, b in zip(values, values[1:]))
 
 
-@settings(derandomize=True, deadline=None, max_examples=60)
+@settings(max_examples=60)
 @given(d=st.integers(2, 6), m=st.integers(1, 3), l=st.integers(0, 4),
        seed=st.integers(0, 2**32 - 1))
 def test_fidelities_are_universal_over_drawn_inputs(d, m, l, seed):
@@ -334,31 +320,61 @@ def test_shrinking_factor_fully_mixed_input():
 
 
 def test_maximally_mixed_input_clones_to_maximally_mixed():
-    rho = SymmetricDensity.maximally_mixed(2, 1)
-    out = clone_mixed(rho, 1)
+    out = clone_mixed(SymmetricDensity(enumerate_sector(2, 1), np.eye(2) / 2), 1)
     single = reduce_to_single(trace_out_b(out))
     assert np.max(np.abs(single.matrix - np.eye(2) / 2)) < 1e-12
 
 
-def _clone_outputs_with_reference():
-    """Random, basis and zero-amplitude pure inputs (l = 0 included), each with a reference qudit."""
-    rng = np.random.default_rng(43)
-    cases = []
-    for d, m, l in [(2, 1, 3), (3, 2, 2), (4, 1, 2), (3, 3, 0), (5, 2, 1)]:
-        x = PureQudit.random(d, rng)
-        cases.append((clone_pure(x, m, l), x))
-    for j, l in [((1, 2, 0), 0), ((1, 0), 3), ((0, 0, 0), 2), ((2, 1, 1), 1), ((0, 3), 0)]:
-        cases.append((clone_basis_state(j, l), PureQudit.random(len(j), rng)))
-    # Exact-zero amplitudes leave all-zero coefficient rows.
-    cases.append((clone_pure(PureQudit(np.array([1.0, 0.0, 0.0])), 2, 2), PureQudit.random(3, rng)))
-    return cases
+def _dense_a_density(out):
+    """a-register density from the dense joint density, by an einsum partial trace."""
+    a_dim, b_dim = len(out.a_basis), len(out.b_basis)
+    return np.einsum("piqi->pq", out.to_density().reshape(a_dim, b_dim, a_dim, b_dim))
 
 
-def test_reduce_to_single_from_coefficients_matches_dense_route():
-    for out, _ in _clone_outputs_with_reference():
-        direct = reduce_to_single(out).matrix
-        dense = reduce_to_single(trace_out_b(out)).matrix
-        assert np.max(np.abs(direct - dense)) < 1e-13
+# (kind, d, M, l) with M = 0 for a basis input only, L >= 1, and |A| |K| <= 1,700,
+# so that the dense (ab) x (ab) density of `to_density` stays under 50 MB.
+_OUTPUT_SHAPES = [(kind, d, m, l) for kind in ("basis", "pure", "mixed") for d in range(2, 6)
+                  for m in range(0 if kind == "basis" else 1, 4) for l in range(0 if m else 1, 4)
+                  if math.comb(m + l + d - 1, d - 1) * math.comb(l + d - 1, d - 1) <= 1700]
+
+
+@settings(max_examples=40)
+@given(shape=st.sampled_from(_OUTPUT_SHAPES), support=st.integers(1, 35),
+       seed=st.integers(0, 2**32 - 1))
+@example(shape=("basis", 3, 0, 2), support=1, seed=43)
+@example(shape=("basis", 2, 3, 0), support=1, seed=43)
+@example(shape=("pure", 5, 2, 1), support=5, seed=43)
+@example(shape=("pure", 3, 3, 0), support=3, seed=43)
+@example(shape=("pure", 3, 2, 2), support=1, seed=43)
+@example(shape=("mixed", 2, 1, 0), support=1, seed=44)
+@example(shape=("mixed", 3, 2, 0), support=6, seed=44)
+@example(shape=("mixed", 2, 3, 2), support=4, seed=44)
+def test_every_output_kind_matches_its_dense_references(shape, support, seed):
+    # One check of the one clone map.  `support` is the number of nonzero amplitudes of a
+    # pure input (exact zeros leave all-zero input rows) or a mixed input's rank (|J| <= 35).
+    kind, d, m, l = shape
+    rng, basis = np.random.default_rng(seed), enumerate_sector(d, m)
+    if kind == "basis":
+        out = clone_basis_state(basis[int(rng.integers(len(basis)))], l)
+    elif kind == "pure":
+        v = PureQudit.random(d, rng).x
+        v[rng.permutation(d)[support:]] = 0.0
+        out = clone_pure(PureQudit(v / np.linalg.norm(v)), m, l)
+    else:
+        rho = random_density(len(basis), min(support, len(basis)), rng)
+        out = clone_mixed(SymmetricDensity(basis, rho), l)
+        assert out.inputs.shape == (np.linalg.matrix_rank(rho), len(basis))
+    dense, rho_a = _dense_a_density(out), trace_out_b(out)
+    assert np.max(np.abs(rho_a.matrix - dense)) < 1e-13
+    assert abs(np.trace(dense).real - 1.0) < 1e-12  # the dense route keeps the clone's norm
+    single = reduce_to_single(out).matrix
+    assert np.max(np.abs(single - reduce_to_single(rho_a).matrix)) < 1e-13
+    if d ** out.L <= 729:
+        oracle = first_quantized_single_marginal(dense, list(out.a_basis), d, out.L)
+        assert np.max(np.abs(single - oracle)) < 1e-13
+    x = PureQudit.random(d, rng)
+    target = expand_identical(x, out.L)
+    assert abs(fidelity_global(out, x) - np.vdot(target, dense @ target).real) < 1e-13
 
 
 def test_reduce_to_single_of_clone_outputs_reads_no_clone_table(monkeypatch):
@@ -383,7 +399,7 @@ def test_reduce_to_single_of_clone_outputs_reads_no_clone_table(monkeypatch):
 
 
 def test_dense_route_comparison_catches_a_skewed_clone_table(monkeypatch):
-    # Negative control for test_reduce_to_single_from_coefficients_matches_dense_route
+    # Negative control for test_every_output_kind_matches_its_dense_references
     # and for the a-register identity of test_both_output_registers_are_the_optimal_maps:
     # trace_out_b reads the clone table and reduce_to_single does not, so moving weight
     # between two emission vectors k in one live row must show in their difference.
@@ -410,63 +426,7 @@ def test_dense_route_comparison_catches_a_skewed_clone_table(monkeypatch):
         assert np.max(np.abs(_first_quantized(rho_a.matrix, out.a_basis) - werner)) > 1e-6
 
 
-def test_fidelity_global_from_coefficients_matches_dense_overlap():
-    for out, x in _clone_outputs_with_reference():
-        target = expand_identical(x, out.L)
-        psi = out.amplitudes
-        dense = np.vdot(target, psi @ (psi.conj().T @ target)).real
-        assert abs(fidelity_global(out, x) - dense) < 1e-13
-
-
-def _mixed_inputs():
-    """Random mixed densities with d <= 3, M <= 3, l <= 2, rank-deficient ones included."""
-    rng = np.random.default_rng(44)
-    cases = []
-    for d, m, l in [(2, 1, 0), (2, 1, 2), (2, 2, 1), (3, 1, 1), (3, 2, 2), (3, 2, 0), (2, 3, 2)]:
-        basis = enumerate_sector(d, m)
-        for r in sorted({1, max(1, len(basis) - 1), len(basis)}):
-            cases.append((SymmetricDensity(basis, random_density(len(basis), r, rng)), l))
-    return cases
-
-
-def _dense_a_density(out):
-    """a-register density from the dense joint density, by an einsum partial trace."""
-    a_dim, b_dim = len(out.a_basis), len(out.b_basis)
-    return np.einsum("piqi->pq", out.to_density().reshape(a_dim, b_dim, a_dim, b_dim))
-
-
-def test_mixed_clone_output_keeps_one_component_per_nonzero_eigenvalue():
-    for rho, l in _mixed_inputs():
-        out = clone_mixed(rho, l)
-        rank = np.linalg.matrix_rank(rho.matrix)
-        assert out.inputs.shape == (rank, len(rho.basis))
-
-
-def test_trace_out_b_of_mixed_clone_matches_dense_partial_trace():
-    for rho, l in _mixed_inputs():
-        out = clone_mixed(rho, l)
-        assert np.max(np.abs(trace_out_b(out).matrix - _dense_a_density(out))) < 1e-13
-
-
-def test_reduce_to_single_of_mixed_clone_matches_dense_oracle():
-    for rho, l in _mixed_inputs():
-        out = clone_mixed(rho, l)
-        oracle = first_quantized_single_marginal(
-            _dense_a_density(out), list(out.a_basis), out.d, out.L)
-        assert np.max(np.abs(reduce_to_single(out).matrix - oracle)) < 1e-13
-
-
-def test_fidelity_global_of_mixed_clone_matches_dense_overlap():
-    rng = np.random.default_rng(45)
-    for rho, l in _mixed_inputs():
-        out = clone_mixed(rho, l)
-        x = PureQudit.random(out.d, rng)
-        target = expand_identical(x, out.L)
-        dense = np.vdot(target, _dense_a_density(out) @ target).real
-        assert abs(fidelity_global(out, x) - dense) < 1e-13
-
-
-@settings(derandomize=True, deadline=None, max_examples=40)
+@settings(max_examples=40)
 @given(d=st.integers(2, 3), m=st.integers(1, 2), l=st.integers(0, 2),
        rank=st.integers(1, 6), seed=st.integers(0, 2**32 - 1))
 def test_mixed_clone_one_copy_marginal_is_an_isotropically_shrunk_density(d, m, l, rank, seed):
@@ -499,7 +459,7 @@ def _b_register(out):
     return _first_quantized(np.einsum("cpq,cpr->qr", amps, amps.conj()), out.b_basis)
 
 
-@settings(derandomize=True, deadline=None, max_examples=60)
+@settings(max_examples=60)
 @given(d=st.integers(2, 3), m=st.integers(1, 3), l=st.integers(0, 3),
        rank=st.integers(1, 10), seed=st.integers(0, 2**32 - 1))
 def test_both_output_registers_are_the_optimal_maps(d, m, l, rank, seed):
