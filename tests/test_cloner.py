@@ -162,6 +162,16 @@ def test_clone_pure_on_basis_direction_matches_basis_clone():
     assert np.max(np.abs(out.amplitudes - ref.amplitudes)) < 1e-14
 
 
+def test_clone_pure_norm_for_random_inputs():
+    rng = np.random.default_rng(22)
+    for _ in range(10):
+        d = int(rng.integers(2, 5))
+        m = int(rng.integers(1, 4))
+        l = int(rng.integers(0, 4))
+        out = clone_pure(PureQudit.random(d, rng), m, l)
+        assert np.linalg.norm(out.amplitudes) == pytest.approx(1.0, abs=1e-12)
+
+
 def test_clone_mixed_of_basis_projector_is_outer_product():
     basis = enumerate_sector(2, 1)
     rho = np.zeros((2, 2))

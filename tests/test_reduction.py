@@ -377,6 +377,91 @@ def test_every_output_kind_matches_its_dense_references(shape, support, seed):
     assert abs(fidelity_global(out, x) - np.vdot(target, dense @ target).real) < 1e-13
 
 
+def test_trace_out_b_has_unit_trace():
+    rng = np.random.default_rng(32)
+    for d, m, l in [(2, 1, 2), (3, 2, 1), (4, 1, 3)]:
+        rho = trace_out_b(clone_pure(PureQudit.random(d, rng), m, l))
+        assert abs(np.trace(rho.matrix).real - 1.0) < 1e-12
+
+
+def _clone_outputs_with_reference():
+    """Random, basis and zero-amplitude pure inputs (l = 0 included), each with a reference qudit."""
+    rng = np.random.default_rng(43)
+    cases = []
+    for d, m, l in [(2, 1, 3), (3, 2, 2), (4, 1, 2), (3, 3, 0), (5, 2, 1)]:
+        x = PureQudit.random(d, rng)
+        cases.append((clone_pure(x, m, l), x))
+    for j, l in [((1, 2, 0), 0), ((1, 0), 3), ((0, 0, 0), 2), ((2, 1, 1), 1), ((0, 3), 0)]:
+        cases.append((clone_basis_state(j, l), PureQudit.random(len(j), rng)))
+    # Exact-zero amplitudes leave all-zero coefficient rows.
+    cases.append((clone_pure(PureQudit(np.array([1.0, 0.0, 0.0])), 2, 2), PureQudit.random(3, rng)))
+    return cases
+
+
+def test_trace_out_b_pure_and_density_routes_agree():
+    rng = np.random.default_rng(33)
+    x = PureQudit.random(2, rng)
+    for out in [clone_pure(x, 2, 1)] + [out for out, _ in _clone_outputs_with_reference()]:
+        assert np.max(np.abs(trace_out_b(out).matrix - _dense_a_density(out))) < 1e-13
+
+
+def test_reduce_to_single_from_coefficients_matches_dense_route():
+    for out, _ in _clone_outputs_with_reference():
+        direct = reduce_to_single(out).matrix
+        dense = reduce_to_single(trace_out_b(out)).matrix
+        assert np.max(np.abs(direct - dense)) < 1e-13
+
+
+def test_fidelity_global_from_coefficients_matches_dense_overlap():
+    for out, x in _clone_outputs_with_reference():
+        target = expand_identical(x, out.L)
+        psi = out.amplitudes
+        dense = np.vdot(target, psi @ (psi.conj().T @ target)).real
+        assert abs(fidelity_global(out, x) - dense) < 1e-13
+
+
+def _mixed_inputs():
+    """Random mixed densities with d <= 3, M <= 3, l <= 2, rank-deficient ones included."""
+    rng = np.random.default_rng(44)
+    cases = []
+    for d, m, l in [(2, 1, 0), (2, 1, 2), (2, 2, 1), (3, 1, 1), (3, 2, 2), (3, 2, 0), (2, 3, 2)]:
+        basis = enumerate_sector(d, m)
+        for r in sorted({1, max(1, len(basis) - 1), len(basis)}):
+            cases.append((SymmetricDensity(basis, random_density(len(basis), r, rng)), l))
+    return cases
+
+
+def test_mixed_clone_output_keeps_one_component_per_nonzero_eigenvalue():
+    for rho, l in _mixed_inputs():
+        out = clone_mixed(rho, l)
+        rank = np.linalg.matrix_rank(rho.matrix)
+        assert out.inputs.shape == (rank, len(rho.basis))
+
+
+def test_trace_out_b_of_mixed_clone_matches_dense_partial_trace():
+    for rho, l in _mixed_inputs():
+        out = clone_mixed(rho, l)
+        assert np.max(np.abs(trace_out_b(out).matrix - _dense_a_density(out))) < 1e-13
+
+
+def test_reduce_to_single_of_mixed_clone_matches_dense_oracle():
+    for rho, l in _mixed_inputs():
+        out = clone_mixed(rho, l)
+        oracle = first_quantized_single_marginal(
+            _dense_a_density(out), list(out.a_basis), out.d, out.L)
+        assert np.max(np.abs(reduce_to_single(out).matrix - oracle)) < 1e-13
+
+
+def test_fidelity_global_of_mixed_clone_matches_dense_overlap():
+    rng = np.random.default_rng(45)
+    for rho, l in _mixed_inputs():
+        out = clone_mixed(rho, l)
+        x = PureQudit.random(out.d, rng)
+        target = expand_identical(x, out.L)
+        dense = np.vdot(target, _dense_a_density(out) @ target).real
+        assert abs(fidelity_global(out, x) - dense) < 1e-13
+
+
 def test_reduce_to_single_of_clone_outputs_reads_no_clone_table(monkeypatch):
     # The one-copy marginal follows from the input density and the emission law
     # alone, also for M = 0, where only the l I term remains.
